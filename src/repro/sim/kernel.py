@@ -1,4 +1,4 @@
-"""Accelerated event kernel: batch-dequeue + fused event handlers.
+"""Accelerated event kernel: fused event handlers over a shallow heap.
 
 :class:`KernelSimulator` is an opt-in drop-in for
 :class:`~repro.sim.engine.Simulator` (``RunPolicy(engine="vectorized")``)
@@ -10,8 +10,11 @@ phase of every workload -- arrival admission (``_launch``), client core
 event handling (``_do_send`` / ``_at_client_nic``),
 link transit (``_sent``), station service completion
 (``ServerPool._finish``) and measurement (``_measured``) -- and runs a
-*fused*, fully inlined handler for each, with the exact float
-arithmetic and draw sequence of the reference components.
+*fused* handler for each, with the exact float arithmetic and draw
+sequence of the reference components.  Random draws go through the
+same :class:`~repro.sim.sampling.BatchedStream` facade methods the
+components call, so block formation and every served value are
+unchanged.
 
 Three mechanisms stack:
 
@@ -24,25 +27,17 @@ Three mechanisms stack:
   that callback), so entries left in the heap when ``run()`` exits
   convert back to plain reference format losslessly.
 
-* **Batching.**  The main loop tracks runs of same-continuation
-  entries.  Link-transit runs are lifted into ``(times, seq, payload)``
-  arrays and their next-event times are computed with array math over
-  the network stream's active draw-ahead block; a batch is *validated*
-  incrementally -- the moment a processed item schedules work before
-  the next item's timestamp, the unprocessed tail is pushed back
-  untouched (no draws were made for it), so event order -- and
-  therefore every random stream -- is bit-identical to the reference
-  loop.  Open-loop launch trains are lifted out of the heap into a
-  sorted flat list and merged back lazily, so heap operations run on a
-  heap that only holds the in-flight working set.
+* **Launch-train extraction.**  Open-loop launch trains are lifted out
+  of the heap into a sorted flat list and merged back lazily in exact
+  ``(time, seq)`` order, so heap operations run on a heap that only
+  holds the in-flight working set.
 
-* **Inline draw serving.**  The fused handlers serve the two cheap
-  :class:`~repro.sim.sampling.BatchedStream` cases in place -- a
-  block-mode draw (cursor bump) and the plain scalar forward --
-  updating the stream's run/threshold accounting exactly as the
-  facade would, and fall back to the facade method for everything
-  else (refill, reconcile, promotion), so block-formation decisions
-  and the served value sequence are unchanged.
+* **Deferred clock and recording.**  The loop keeps the clock in a
+  local and buffers completed requests, writing both back before any
+  foreign call can observe them.
+
+Every event still fires individually, in heap order; the loop only
+counts runs of same-continuation entries (:meth:`kernel_counters`).
 
 Fallback: anything the kernel does not recognise -- a cancellable
 :class:`~repro.sim.engine.Event`, an obs-traced component, a custom
@@ -50,31 +45,25 @@ subclass overriding a hot-path method, a balancer/fanout/tiered
 service -- is executed through the ordinary scalar path (and counted
 in ``kernel_scalar_fallbacks``).  Correctness never depends on
 adoption; adoption only removes interpreter overhead.
-
-numpy is the only requirement.  numba, when importable, accelerates
-the batch-validation scan opportunistically; it is never required
-(:data:`KERNEL_JIT` reports whether it engaged).
 """
 
 from __future__ import annotations
 
 import difflib
-import importlib.util
-import math
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import SimulationError, SpecValidationError
+from repro.hardware.core import _DEEP_SLEEP_RESIDENCY_US
+from repro.hardware.cstates import CStateGovernor
+from repro.hardware.uncore import UNCORE_RAMP_DOWN_GAP_US
+from repro.net.link import US_PER_KB_10GBE
 from repro.sim.engine import Simulator
-from repro.sim.sampling import _NORMAL, _UNIFORM, BatchedStream
+from repro.sim.sampling import BatchedStream
 
 __all__ = [
-    "BATCH_MAX",
     "DEFAULT_ENGINE",
     "ENGINES",
-    "KERNEL_JIT",
     "KernelSimulator",
     "describe_engine",
     "engine_names",
@@ -82,69 +71,7 @@ __all__ = [
     "validate_engine_name",
 ]
 
-#: Longest same-callback prefix the kernel will dequeue as one batch.
-#: Bounds the push-back cost when a batch is cut short by validation.
-BATCH_MAX = 64
-
-#: Minimum link-transit run length worth lifting into arrays; shorter
-#: runs go through the fused scalar handler (array setup would cost
-#: more than it saves).
-VECTOR_MIN = 8
-
-#: Serialization cost per KB (mirrors repro.net.link.US_PER_KB_10GBE;
-#: asserted equal at dispatch build).
-_US_PER_KB = 0.8
-
-#: Deep-sleep residency threshold (mirrors repro.hardware.core).
-_DEEP_SLEEP_US = 20.0
-
-#: Dynamic-uncore ramp-down gap (mirrors repro.hardware.uncore).
-_UNCORE_GAP_US = 100.0
-
-#: Menu-governor prediction noise (mirrors CStateGovernor).
-_PRED_NOISE = 0.25
-
-_exp = math.exp
-
-# The fused loop compares stream kinds against literal ints; pin the
-# facade's encoding so a drive-by renumbering cannot silently break
-# bit-identity.
-if _UNIFORM != 0 or _NORMAL != 1:  # pragma: no cover - import guard
-    raise AssertionError("BatchedStream kind encoding changed")
-
-
-def _commit_length_py(times: Any, push_times: Any, n: int) -> int:
-    """Longest batch prefix whose scheduled work never precedes the
-    next batch item.
-
-    ``times`` are the batch items' own timestamps, ``push_times`` the
-    timestamps of the events each item will schedule.  Item ``i`` is
-    safe when no event pushed by items ``0..i`` lands strictly before
-    ``times[i + 1]``; the running minimum implements that exactly.
-    """
-    floor = push_times[0]
-    for i in range(1, n):
-        if floor < times[i]:
-            return i
-        pt = push_times[i]
-        if pt < floor:
-            floor = pt
-    return n
-
-
-#: True when numba compiled the validation scan (never required).
-KERNEL_JIT = False
-_commit_length_nb: Any = None
-if importlib.util.find_spec("numba") is not None:  # pragma: no cover
-    try:
-        import numba
-
-        _commit_length_nb = numba.njit(cache=True)(_commit_length_py)
-        _commit_length_nb(np.zeros(1), np.zeros(1), 1)  # force compile
-        KERNEL_JIT = True
-    except Exception:
-        _commit_length_nb = None
-        KERNEL_JIT = False
+_PRED_NOISE = CStateGovernor.PREDICTION_NOISE
 
 
 # Handler opcodes.  DO_SEND/AT_NIC share one fused client-core body.
@@ -191,8 +118,7 @@ class _MC:
     __slots__ = ("machine", "do_send", "ts", "send_work", "recv_work",
                  "core", "rng", "oscale", "polling", "slack", "freq",
                  "cpoll", "ctable", "tick", "unc_dyn", "unc_pen",
-                 "twake", "nghz", "ramp", "gramps", "sfn_u", "sfn_n",
-                 "k_do_send")
+                 "twake", "nghz", "ramp", "gramps", "k_do_send")
 
     def __init__(self, machine: Any) -> None:
         core = machine.core
@@ -219,12 +145,6 @@ class _MC:
         self.nghz = core._nominal_ghz
         self.ramp = core._wake_dvfs_ramp_us
         self.gramps = core._governor_ramps
-        # Inline scalar-forward fast path: only for the exact facade
-        # (a subclass could override the draw methods).
-        sfns: Any = (rng._scalar_fns if type(rng) is BatchedStream
-                     else (None, None))
-        self.sfn_u = sfns[0]
-        self.sfn_n = sfns[1]
         self.k_do_send = _K(_OP_DO_SEND, self, self.do_send)
 
 
@@ -232,16 +152,15 @@ class _GC:
     """Per-:class:`LoadGenerator` context."""
 
     __slots__ = ("gen", "sent", "served", "at_nic", "measured", "record",
-                 "after", "link_s", "link_c", "submit_cb",
-                 "stream_s", "s_mu", "s_sigma", "s_mean", "draw_s", "obs_s",
-                 "stream_c", "c_mu", "c_sigma", "c_mean", "draw_c", "obs_c",
+                 "after", "submit_cb",
+                 "s_mu", "s_sigma", "s_mean", "draw_s", "obs_s",
+                 "c_mu", "c_sigma", "c_mean", "draw_c", "obs_c",
                  "k_sent", "k_at_nic", "k_measured",
                  "push_sent", "push_at_nic", "push_measured", "push_submit",
                  "rs", "rbuf")
 
-    def __init__(self, gen: Any, after: Optional[Callable[..., None]],
-                 stream_s: Optional[BatchedStream],
-                 stream_c: Optional[BatchedStream]) -> None:
+    def __init__(self, gen: Any,
+                 after: Optional[Callable[..., None]]) -> None:
         self.gen = gen
         self.sent = gen._sent
         self.served = gen._served
@@ -251,16 +170,12 @@ class _GC:
         self.after = after
         link_s = gen._link_to_server
         link_c = gen._link_to_client
-        self.link_s = link_s
-        self.link_c = link_c
         self.submit_cb = gen.service.submit
-        self.stream_s = stream_s
         self.s_mu = link_s._mu
         self.s_sigma = link_s._sigma
         self.s_mean = link_s._mean
         self.draw_s = link_s._draw
         self.obs_s = link_s.observer
-        self.stream_c = stream_c
         self.c_mu = link_c._mu
         self.c_sigma = link_c._sigma
         self.c_mean = link_c._mean
@@ -288,19 +203,17 @@ class _GC:
 class _SC:
     """Per-:class:`ServiceStation` context."""
 
-    __slots__ = ("station", "pool", "queue", "items", "sample", "rng",
+    __slots__ = ("pool", "queue", "items", "sample", "rng",
                  "env", "smt_on", "intensity", "broad_us", "int_scale",
                  "int_mean", "kstack", "smtf", "fscale", "num", "cpoll",
                  "ctable", "tick", "pool_done", "service_time",
-                 "finish_cb", "obs_on", "k_finish", "sstream",
-                 "ssfn_u", "ssfn_n",
+                 "finish_cb", "obs_on", "k_finish",
                  "skind", "smu", "ssigma", "sukb", "cdone", "cgc")
 
     def __init__(self, station: Any) -> None:
         pool = station._pool
         smt = station._smt
         gov = station._cstates
-        self.station = station
         self.pool = pool
         self.queue = pool.queue
         self.items = pool.queue._items
@@ -325,21 +238,14 @@ class _SC:
         self.finish_cb = pool._finish
         self.obs_on = pool._obs is not None
         self.k_finish = _K(_OP_FINISH, self, self.finish_cb)
-        self.sstream = rng if type(rng) is BatchedStream else None
-        if self.sstream is not None:
-            self.ssfn_u = rng._scalar_fns[0]
-            self.ssfn_n = rng._scalar_fns[1]
-        else:
-            self.ssfn_u = None
-            self.ssfn_n = None
         # One-entry cache for the served-callback -> generator lookup
         # (stations overwhelmingly serve a single generator, and the
         # kernel pushes one stable bound method for it).
         self.cdone: Any = None
         self.cgc: Any = None
         # Service-model specialization: the two stock lognormal-core
-        # models can be sampled inline off the station stream's active
-        # block.  Exact types only -- a subclass keeps the generic
+        # models are sampled with one ``lognormal`` facade call.  Exact
+        # types only -- a subclass keeps the generic
         # ``sample_service_us`` call.
         from repro.server.service import LognormalService
         from repro.workloads.memcached import EtcServiceModel
@@ -359,7 +265,7 @@ class _SC:
         elif type(model) is LognormalService:
             base = model
             kind = 1
-        if (base is not None and self.sstream is not None
+        if (base is not None and type(rng) is BatchedStream
                 and base._sigma != 0):
             self.skind = kind
             self.smu = base._mu
@@ -368,7 +274,7 @@ class _SC:
 
 # ------------------------------------------------------------------ kernel
 class KernelSimulator(Simulator):
-    """Batch-dequeue accelerated simulator (``engine="vectorized"``).
+    """Fused-handler accelerated simulator (``engine="vectorized"``).
 
     Bit-identical to :class:`~repro.sim.engine.Simulator` by
     construction: adopted components run through fused handlers that
@@ -437,19 +343,16 @@ class KernelSimulator(Simulator):
         keeps its scalar path.
         """
         from repro.hardware.core import SimCore
-        from repro.hardware.cstates import CStateGovernor
         from repro.hardware.frequency import FrequencyModel
         from repro.hardware.timer import TimerModel
         from repro.hardware.uncore import UncoreModel
         from repro.loadgen.base import LoadGenerator
         from repro.loadgen.client_machine import ClientMachine
         from repro.loadgen.measurement import RunSamples
-        from repro.net.link import US_PER_KB_10GBE, NetworkLink
+        from repro.net.link import NetworkLink
         from repro.server.station import ServiceStation
         from repro.sim.resources import ServerPool
         from repro.telemetry.columns import SampleColumns
-
-        assert US_PER_KB_10GBE == _US_PER_KB
 
         dispatch: Dict[Any, Tuple[int, Any]] = {}
         minfo: Dict[Any, _MC] = {}
@@ -508,16 +411,10 @@ class KernelSimulator(Simulator):
                         and type(link_c) is NetworkLink)
             if not links_ok:
                 continue
-            stream_s = getattr(link_s._draw, "__self__", None)
-            if type(stream_s) is not BatchedStream:
-                stream_s = None
-            stream_c = getattr(link_c._draw, "__self__", None)
-            if type(stream_c) is not BatchedStream:
-                stream_c = None
             after: Optional[Callable[..., None]] = gen._after_completion
             if cls._after_completion is LoadGenerator._after_completion:
                 after = None
-            gc = _GC(gen, after, stream_s, stream_c)
+            gc = _GC(gen, after)
             if cls._launch is LoadGenerator._launch:
                 dispatch[gc.gen._launch] = (_OP_LAUNCH, gc)
             if cls._sent is LoadGenerator._sent:
@@ -577,12 +474,12 @@ class KernelSimulator(Simulator):
         #   every foreign call (a callback may cancel events, and
         #   _note_cancelled's compaction *rebinds* self._heap).
         #
-        # * Run continuation.  Consecutive entries sharing one _K keep
-        #   flowing through one fused handler without re-entering
-        #   dispatch.  An event scheduled by item i that lands before
-        #   item i+1 displaces it from the heap top, ending the run
-        #   naturally -- exactly the reference's interleaving, with no
-        #   draw ever rewound.
+        # * Run tracking.  Consecutive entries sharing one continuation
+        #   count as one run (kernel_counters telemetry).  Each entry
+        #   still fires on its own, in heap order: an event scheduled
+        #   by item i that lands before item i+1 displaces it from the
+        #   heap top, ending the run -- exactly the reference's
+        #   interleaving, with no draw ever rewound.
         fired = 0
         batches = 0
         batched = 0
@@ -594,6 +491,7 @@ class KernelSimulator(Simulator):
         dispatch_get = dispatch.get
         served_get = self._served_map.get
         flushrec = self._flush_records
+        occupancy_of = self._occupancy
         Kt = _K
 
         heap = self._heap
@@ -779,24 +677,7 @@ class KernelSimulator(Simulator):
                             rng = mc.rng
                             predicted = idle_gap
                             if rng is not None and idle_gap > 0:
-                                sfn = mc.sfn_n
-                                if sfn is not None and rng._buf is None:
-                                    if rng._kind == 1:
-                                        r = rng._run + 1
-                                        if r < rng._threshold:
-                                            rng._run = r
-                                            rng.scalar_served += 1
-                                            sn = float(sfn())
-                                        else:
-                                            sn = rng.standard_normal()
-                                    else:
-                                        rng._kind = 1
-                                        rng._run = 1
-                                        rng.scalar_served += 1
-                                        sn = float(sfn())
-                                else:
-                                    sn = rng.standard_normal()
-                                noise = 1.0 + _PRED_NOISE * sn
+                                noise = 1.0 + _PRED_NOISE * rng.standard_normal()
                                 if noise < 0.0:
                                     noise = 0.0
                                 predicted = idle_gap * noise
@@ -813,9 +694,9 @@ class KernelSimulator(Simulator):
                                 wake = idle_gap
                             if (wake > 0.0 and mc.gramps
                                     and chosen.target_residency_us
-                                    >= _DEEP_SLEEP_US):
+                                    >= _DEEP_SLEEP_RESIDENCY_US):
                                 dvfs = mc.ramp
-                        if mc.unc_dyn and idle_gap > _UNCORE_GAP_US:
+                        if mc.unc_dyn and idle_gap > UNCORE_RAMP_DOWN_GAP_US:
                             unc = mc.unc_pen
                         if wt:
                             cswitch = mc.twake
@@ -847,43 +728,20 @@ class KernelSimulator(Simulator):
                                         data.push_measured,
                                         (args[0], args[1], finish)))
                 elif op == 3:  # _OP_SENT
-                    # Link transit client->server.  Runs long enough
-                    # to amortize array setup are lifted whole into
-                    # (times, seq, payload) arrays.
+                    # Link transit client->server: fused
+                    # NetworkLink.sample_latency_us.
                     gcs = data
-                    if run_len == 1 and len(heap) >= VECTOR_MIN - 1:
-                        if (heap[0][2] is key
-                                and self._sent_batch(
-                                    gcs, key, heap, entry, now, nseq,
-                                    head)):
-                            processed = self._sent_batch_n
-                            fired += processed - 1
-                            run_len = processed
-                            now = self._now
-                            continue
                     request = args[1]
                     request.actual_send_us = args[2]
                     draw = gcs.draw_s
-                    if draw is None:
-                        base = gcs.s_mean
-                    else:
-                        st = gcs.stream_s
-                        if (st is not None and st._kind == 1
-                                and st._buf is not None
-                                and st._cursor < st._buflen):
-                            i = st._cursor
-                            st._cursor = i + 1
-                            st.batched_served += 1
-                            base = _exp(gcs.s_mu
-                                        + gcs.s_sigma * st._buf[i])
-                        else:
-                            base = float(draw(gcs.s_mu, gcs.s_sigma))
+                    base = (gcs.s_mean if draw is None
+                            else float(draw(gcs.s_mu, gcs.s_sigma)))
                     observer = gcs.obs_s
                     kb = request.size_kb
                     if observer is not None:
                         observer.messages += 1
                         observer.kb += kb
-                    delay = base + kb * _US_PER_KB if kb > 0.0 else base
+                    delay = base + kb * US_PER_KB_10GBE if kb > 0.0 else base
                     heappush(heap, (now + delay, nseq(), gcs.push_submit,
                                     (request, gcs.served, args[0])))
                 elif op == 5:  # _OP_FINISH
@@ -912,26 +770,13 @@ class KernelSimulator(Simulator):
                             # Fused _served: link transit back.
                             draw = gcf.draw_c
                             kb = job.size_kb
-                            if draw is None:
-                                base = gcf.c_mean
-                            else:
-                                st = gcf.stream_c
-                                if (st is not None and st._kind == 1
-                                        and st._buf is not None
-                                        and st._cursor < st._buflen):
-                                    i = st._cursor
-                                    st._cursor = i + 1
-                                    st.batched_served += 1
-                                    base = _exp(gcf.c_mu
-                                                + gcf.c_sigma * st._buf[i])
-                                else:
-                                    base = float(draw(gcf.c_mu,
-                                                      gcf.c_sigma))
+                            base = (gcf.c_mean if draw is None
+                                    else float(draw(gcf.c_mu, gcf.c_sigma)))
                             observer = gcf.obs_c
                             if observer is not None:
                                 observer.messages += 1
                                 observer.kb += kb
-                            delay = (base + kb * _US_PER_KB
+                            delay = (base + kb * US_PER_KB_10GBE
                                      if kb > 0.0 else base)
                             heappush(heap, (now + delay, nseq(),
                                             gcf.push_at_nic,
@@ -960,159 +805,12 @@ class KernelSimulator(Simulator):
                         stf = item[1]
                         if stf is sc.service_time or stf == sc.service_time:
                             job2 = item[0]
-                            waited2 = now - enq
-                            idle_gap = now - pool.idle_since[server2]
-                            # Fused _sample_occupancy_us (below, twice:
-                            # here and in the SUBMIT fast path).
-                            rng = sc.rng
-                            busy_m1 = sc.num - len(idle) - 1
-                            if busy_m1 < 0:
-                                busy_m1 = 0
-                            utilization = busy_m1 / sc.num
-                            skind = sc.skind
-                            if skind:
-                                st = sc.sstream
-                                if st._kind == 1:
-                                    buf = st._buf
-                                    if buf is not None:
-                                        i = st._cursor
-                                        if i < st._buflen:
-                                            st._cursor = i + 1
-                                            st.batched_served += 1
-                                            z = buf[i]
-                                        else:
-                                            z = float(st.standard_normal())
-                                    else:
-                                        r = st._run + 1
-                                        if r < st._threshold:
-                                            st._run = r
-                                            st.scalar_served += 1
-                                            z = float(sc.ssfn_n())
-                                        else:
-                                            z = float(st.standard_normal())
-                                elif st._buf is None:
-                                    st._kind = 1
-                                    st._run = 1
-                                    st.scalar_served += 1
-                                    z = float(sc.ssfn_n())
-                                else:
-                                    z = float(st.standard_normal())
-                                base = _exp(sc.smu + sc.ssigma * z)
-                                if skind == 2:
-                                    base += job2.size_kb * sc.sukb
-                            else:
-                                self._now = now
-                                flushrec()
-                                base = sc.sample(rng, job2)
-                                heap = self._heap
-                            base = (base + sc.kstack) * sc.env
-                            base *= sc.smtf
-                            if not sc.smt_on:
-                                u = utilization
-                                if u < 0.0:
-                                    u = 0.0
-                                elif u > 1.0:
-                                    u = 1.0
-                                intensity = sc.intensity
-                                broad = u * intensity * sc.broad_us
-                                probability = sc.int_scale * u * intensity
-                                if probability > 1.0:
-                                    probability = 1.0
-                                if rng is None:
-                                    base += broad + probability * sc.int_mean
-                                else:
-                                    st = sc.sstream
-                                    if st is None:
-                                        uu = rng.random()
-                                    elif st._kind == 0:
-                                        buf = st._buf
-                                        if buf is not None:
-                                            i = st._cursor
-                                            if i < st._buflen:
-                                                st._cursor = i + 1
-                                                st.batched_served += 1
-                                                uu = buf[i]
-                                            else:
-                                                uu = st.random()
-                                        else:
-                                            r = st._run + 1
-                                            if r < st._threshold:
-                                                st._run = r
-                                                st.scalar_served += 1
-                                                uu = float(sc.ssfn_u())
-                                            else:
-                                                uu = st.random()
-                                    elif st._buf is None:
-                                        st._kind = 0
-                                        st._run = 1
-                                        st.scalar_served += 1
-                                        uu = float(sc.ssfn_u())
-                                    else:
-                                        uu = st.random()
-                                    if uu < probability:
-                                        base += (broad + sc.int_mean
-                                                 * rng.standard_exponential())
-                                    else:
-                                        base += broad
-                            scaled = base * sc.fscale
-                            if sc.cpoll:
-                                wake = 0.0
-                            else:
-                                predicted = idle_gap
-                                if rng is not None and idle_gap > 0:
-                                    st = sc.sstream
-                                    if st is None:
-                                        sn = rng.standard_normal()
-                                    elif st._kind == 1:
-                                        buf = st._buf
-                                        if buf is not None:
-                                            i = st._cursor
-                                            if i < st._buflen:
-                                                st._cursor = i + 1
-                                                st.batched_served += 1
-                                                sn = buf[i]
-                                            else:
-                                                sn = st.standard_normal()
-                                        else:
-                                            r = st._run + 1
-                                            if r < st._threshold:
-                                                st._run = r
-                                                st.scalar_served += 1
-                                                sn = float(sc.ssfn_n())
-                                            else:
-                                                sn = st.standard_normal()
-                                    elif st._buf is None:
-                                        st._kind = 1
-                                        st._run = 1
-                                        st.scalar_served += 1
-                                        sn = float(sc.ssfn_n())
-                                    else:
-                                        sn = st.standard_normal()
-                                    noise = 1.0 + _PRED_NOISE * sn
-                                    if noise < 0.0:
-                                        noise = 0.0
-                                    predicted = idle_gap * noise
-                                tick = sc.tick
-                                if tick is not None and predicted > tick:
-                                    predicted = tick
-                                table = sc.ctable
-                                chosen = table[0][1]
-                                for target_residency, spec in table:
-                                    if target_residency <= predicted:
-                                        chosen = spec
-                                wake = chosen.exit_latency_us
-                                if wake > idle_gap:
-                                    wake = idle_gap
-                            occupancy = scaled + wake
-                            job2.service_us += occupancy
-                            if occupancy < 0:
-                                raise SimulationError(
-                                    f"negative service time {occupancy} "
-                                    f"for job {job2!r}")
-                            pool.busy_time_us += occupancy
+                            occupancy = occupancy_of(
+                                sc, job2, now - pool.idle_since[server2], now)
+                            heap = self._heap
                             heappush(heap, (now + occupancy, nseq(),
                                             sc.k_finish,
-                                            (server2, job2, waited2,
+                                            (server2, job2, now - enq,
                                              item[2], item[3])))
                             if items and idle:
                                 self._now = now
@@ -1140,153 +838,9 @@ class KernelSimulator(Simulator):
                         # Fast path: a worker is free, zero wait.
                         sc.queue.total_enqueued += 1
                         server = idle.pop()
-                        idle_gap = now - pool.idle_since[server]
-                        rng = sc.rng
-                        busy_m1 = sc.num - len(idle) - 1
-                        if busy_m1 < 0:
-                            busy_m1 = 0
-                        utilization = busy_m1 / sc.num
-                        skind = sc.skind
-                        if skind:
-                            st = sc.sstream
-                            if st._kind == 1:
-                                buf = st._buf
-                                if buf is not None:
-                                    i = st._cursor
-                                    if i < st._buflen:
-                                        st._cursor = i + 1
-                                        st.batched_served += 1
-                                        z = buf[i]
-                                    else:
-                                        z = float(st.standard_normal())
-                                else:
-                                    r = st._run + 1
-                                    if r < st._threshold:
-                                        st._run = r
-                                        st.scalar_served += 1
-                                        z = float(sc.ssfn_n())
-                                    else:
-                                        z = float(st.standard_normal())
-                            elif st._buf is None:
-                                st._kind = 1
-                                st._run = 1
-                                st.scalar_served += 1
-                                z = float(sc.ssfn_n())
-                            else:
-                                z = float(st.standard_normal())
-                            base = _exp(sc.smu + sc.ssigma * z)
-                            if skind == 2:
-                                base += request.size_kb * sc.sukb
-                        else:
-                            self._now = now
-                            flushrec()
-                            base = sc.sample(rng, request)
-                            heap = self._heap
-                        base = (base + sc.kstack) * sc.env
-                        base *= sc.smtf
-                        if not sc.smt_on:
-                            u = utilization
-                            if u < 0.0:
-                                u = 0.0
-                            elif u > 1.0:
-                                u = 1.0
-                            intensity = sc.intensity
-                            broad = u * intensity * sc.broad_us
-                            probability = sc.int_scale * u * intensity
-                            if probability > 1.0:
-                                probability = 1.0
-                            if rng is None:
-                                base += broad + probability * sc.int_mean
-                            else:
-                                st = sc.sstream
-                                if st is None:
-                                    uu = rng.random()
-                                elif st._kind == 0:
-                                    buf = st._buf
-                                    if buf is not None:
-                                        i = st._cursor
-                                        if i < st._buflen:
-                                            st._cursor = i + 1
-                                            st.batched_served += 1
-                                            uu = buf[i]
-                                        else:
-                                            uu = st.random()
-                                    else:
-                                        r = st._run + 1
-                                        if r < st._threshold:
-                                            st._run = r
-                                            st.scalar_served += 1
-                                            uu = float(sc.ssfn_u())
-                                        else:
-                                            uu = st.random()
-                                elif st._buf is None:
-                                    st._kind = 0
-                                    st._run = 1
-                                    st.scalar_served += 1
-                                    uu = float(sc.ssfn_u())
-                                else:
-                                    uu = st.random()
-                                if uu < probability:
-                                    base += (broad + sc.int_mean
-                                             * rng.standard_exponential())
-                                else:
-                                    base += broad
-                        scaled = base * sc.fscale
-                        if sc.cpoll:
-                            wake = 0.0
-                        else:
-                            predicted = idle_gap
-                            if rng is not None and idle_gap > 0:
-                                st = sc.sstream
-                                if st is None:
-                                    sn = rng.standard_normal()
-                                elif st._kind == 1:
-                                    buf = st._buf
-                                    if buf is not None:
-                                        i = st._cursor
-                                        if i < st._buflen:
-                                            st._cursor = i + 1
-                                            st.batched_served += 1
-                                            sn = buf[i]
-                                        else:
-                                            sn = st.standard_normal()
-                                    else:
-                                        r = st._run + 1
-                                        if r < st._threshold:
-                                            st._run = r
-                                            st.scalar_served += 1
-                                            sn = float(sc.ssfn_n())
-                                        else:
-                                            sn = st.standard_normal()
-                                elif st._buf is None:
-                                    st._kind = 1
-                                    st._run = 1
-                                    st.scalar_served += 1
-                                    sn = float(sc.ssfn_n())
-                                else:
-                                    sn = st.standard_normal()
-                                noise = 1.0 + _PRED_NOISE * sn
-                                if noise < 0.0:
-                                    noise = 0.0
-                                predicted = idle_gap * noise
-                            tick = sc.tick
-                            if tick is not None and predicted > tick:
-                                predicted = tick
-                            table = sc.ctable
-                            chosen = table[0][1]
-                            for target_residency, spec in table:
-                                if target_residency <= predicted:
-                                    chosen = spec
-                            wake = chosen.exit_latency_us
-                            if wake > idle_gap:
-                                wake = idle_gap
-                        occupancy = scaled + wake
-                        request.service_us += occupancy
-                        if occupancy < 0:
-                            raise SimulationError(
-                                f"negative service time {occupancy} "
-                                f"for job {request!r}")
-                        pool.busy_time_us += occupancy
+                        occupancy = occupancy_of(
+                            sc, request, now - pool.idle_since[server], now)
+                        heap = self._heap
                         heappush(heap, (now + occupancy, nseq(),
                                         sc.k_finish,
                                         (server, request, 0.0,
@@ -1337,24 +891,7 @@ class KernelSimulator(Simulator):
                             if rng is None:
                                 overshoot = mc.slack / 2.0
                             else:
-                                sfn = mc.sfn_u
-                                if sfn is not None and rng._buf is None:
-                                    if rng._kind == 0:
-                                        r = rng._run + 1
-                                        if r < rng._threshold:
-                                            rng._run = r
-                                            rng.scalar_served += 1
-                                            u = float(sfn())
-                                        else:
-                                            u = rng.random()
-                                    else:
-                                        rng._kind = 0
-                                        rng._run = 1
-                                        rng.scalar_served += 1
-                                        u = float(sfn())
-                                else:
-                                    u = rng.random()
-                                overshoot = mc.slack * u
+                                overshoot = mc.slack * rng.random()
                             wake = target + overshoot * mc.oscale
                             # post_at arithmetic: now + (t - now).
                             heappush(heap, (now + (wake - now), nseq(),
@@ -1424,95 +961,81 @@ class KernelSimulator(Simulator):
             self.kernel_scalar_fallbacks += scalar
         return fired
 
-    # ----------------------------------------------------- vectorized SENT
-    _sent_batch_n = 0
+    # ------------------------------------------------------- occupancy
+    def _occupancy(self, sc: _SC, job: Any, idle_gap: float,
+                   now: float) -> float:
+        """Occupancy of one job picked up by a just-popped idle worker.
 
-    def _sent_batch(self, gc: _GC, key: Any, heap: list, first: tuple,
-                    now: float, nseq: Callable[[], int],
-                    limit: Optional[tuple]) -> bool:
-        """Array-lift a run of link-transit events.
-
-        Pops the maximal same-continuation prefix (up to
-        :data:`BATCH_MAX`, bounded by *limit* -- the launch-train
-        head, which must fire in between), serves its latency draws
-        straight off the network stream's active standard-normal
-        block, computes every next-event time with array math,
-        validates the batch with a running-minimum scan, and
-        re-inserts the committed entries via the heapify bulk path.
-        Uncommitted items are pushed back exactly as popped (their
-        draws were never consumed: the block cursor advances only by
-        the committed prefix).
-
-        Returns False when the run is too short or the stream has no
-        suitable block (nothing was consumed -- the caller then runs
-        the fused scalar handler on ``first``).
+        Fused ``ServiceStation._service_time`` (``_sample_occupancy_us``
+        with ``SmtModel.interference_us`` and
+        ``CStateGovernor.wake_and_state`` inlined) plus the pool's
+        negative-time check and busy-time accounting: same branches,
+        float expressions and draw order.  A non-stock service model is
+        called with the clock written back and records flushed; the
+        caller refetches ``self._heap`` afterwards.
         """
-        stream = gc.stream_s
-        if stream is None:
-            return False
-        if stream._kind != _NORMAL or stream._buf is None:
-            return False
-        if first[0] != now:
-            # Epsilon-behind entry: the reference adds delays onto the
-            # (larger) clock, not the entry time; take the scalar path.
-            return False
-        entries = [first]
-        while (len(entries) < BATCH_MAX and heap
-               and heap[0][2] is key
-               and (limit is None or heap[0] < limit)):
-            entries.append(heappop(heap))
-        n = len(entries)
-        cursor = stream._cursor
-        if n < VECTOR_MIN or stream._buflen - cursor < n:
-            # Put the extras back untouched; scalar handler takes over.
-            for extra in entries[1:]:
-                heappush(heap, extra)
-            return False
-
-        mu = gc.s_mu
-        sigma = gc.s_sigma
-        buf = stream._buf
-        times = [e[0] for e in entries]
-        # Next-event times for the whole batch with array math; the
-        # transcendental stays scalar libm so each committed value is
-        # bit-identical to the reference draw.
-        zs = np.asarray(buf[cursor:cursor + n])
-        exponents = (mu + sigma * zs).tolist()
-        bases = [_exp(v) for v in exponents]
-        sizes = np.asarray([e[3][1].size_kb for e in entries])
-        delays = np.asarray(bases) + np.where(
-            sizes > 0.0, sizes * _US_PER_KB, 0.0)
-        times_arr = np.asarray(times)
-        push_arr = times_arr + delays
-        if _commit_length_nb is not None:  # pragma: no cover - numba
-            commit = int(_commit_length_nb(times_arr, push_arr, n))
+        rng = sc.rng
+        pool = sc.pool
+        busy_m1 = sc.num - len(pool._idle_servers) - 1
+        if busy_m1 < 0:
+            busy_m1 = 0
+        utilization = busy_m1 / sc.num
+        skind = sc.skind
+        if skind:
+            base = rng.lognormal(sc.smu, sc.ssigma)
+            if skind == 2:
+                base += job.size_kb * sc.sukb
         else:
-            commit = _commit_length_py(times, push_arr.tolist(), n)
-
-        stream._cursor = cursor + commit
-        stream.batched_served += commit
-        push_times = push_arr.tolist()
-        observer = gc.obs_s
-        push_submit = gc.push_submit
-        served_cb = gc.served
-        new_entries = []
-        for i in range(commit):
-            e_args = entries[i][3]
-            request = e_args[1]
-            request.actual_send_us = e_args[2]
-            if observer is not None:
-                observer.messages += 1
-                observer.kb += request.size_kb
-            new_entries.append((push_times[i], nseq(), push_submit,
-                                (request, served_cb, e_args[0])))
-        # Re-insert via the post_at_batch path: extend + one heapify.
-        heap.extend(new_entries)
-        for i in range(commit, n):
-            heap.append(entries[i])
-        heapify(heap)
-        self._now = times[commit - 1]
-        self._sent_batch_n = commit
-        return True
+            self._now = now
+            self._flush_records()
+            base = sc.sample(rng, job)
+        base = (base + sc.kstack) * sc.env
+        base *= sc.smtf
+        if not sc.smt_on:
+            u = utilization
+            if u < 0.0:
+                u = 0.0
+            elif u > 1.0:
+                u = 1.0
+            intensity = sc.intensity
+            broad = u * intensity * sc.broad_us
+            probability = sc.int_scale * u * intensity
+            if probability > 1.0:
+                probability = 1.0
+            if rng is None:
+                base += broad + probability * sc.int_mean
+            elif rng.random() < probability:
+                base += broad + sc.int_mean * rng.standard_exponential()
+            else:
+                base += broad
+        scaled = base * sc.fscale
+        if sc.cpoll:
+            wake = 0.0
+        else:
+            predicted = idle_gap
+            if rng is not None and idle_gap > 0:
+                noise = 1.0 + _PRED_NOISE * rng.standard_normal()
+                if noise < 0.0:
+                    noise = 0.0
+                predicted = idle_gap * noise
+            tick = sc.tick
+            if tick is not None and predicted > tick:
+                predicted = tick
+            table = sc.ctable
+            chosen = table[0][1]
+            for target_residency, spec in table:
+                if target_residency <= predicted:
+                    chosen = spec
+            wake = chosen.exit_latency_us
+            if wake > idle_gap:
+                wake = idle_gap
+        occupancy = scaled + wake
+        job.service_us += occupancy
+        if occupancy < 0:
+            raise SimulationError(
+                f"negative service time {occupancy} for job {job!r}")
+        pool.busy_time_us += occupancy
+        return occupancy
 
 
 # ----------------------------------------------------------------- registry
@@ -1525,8 +1048,7 @@ ENGINES: Dict[str, Tuple[Callable[[], Simulator], str]] = {
     ),
     "vectorized": (
         KernelSimulator,
-        "batch-dequeue kernel with fused handlers; bit-identical, "
-        "opt-in",
+        "fused-handler kernel; bit-identical, opt-in",
     ),
 }
 
