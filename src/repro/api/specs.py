@@ -26,8 +26,10 @@ the existing :class:`~repro.core.experiment.ExperimentResult`.
 
 from __future__ import annotations
 
+import difflib
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import product
 from typing import (
     TYPE_CHECKING,
@@ -80,9 +82,14 @@ def _check_keys(data: Mapping[str, Any], allowed: Tuple[str, ...],
     fail loudly, not silently fall back to a default."""
     unknown = sorted(set(map(str, data)) - set(allowed))
     if unknown:
+        named = []
+        for key in unknown:
+            close = difflib.get_close_matches(key, allowed, n=1)
+            named.append(f"{key!r} (did you mean {close[0]!r}?)"
+                         if close else repr(key))
         raise SpecValidationError(
-            f"unknown key(s) {', '.join(map(repr, unknown))} in "
-            f"{what} spec; valid keys: {', '.join(allowed)}")
+            f"unknown key(s) {', '.join(named)} in {what} spec; "
+            f"valid keys: {', '.join(allowed)}")
 
 
 def _as_config(value: Union[str, Mapping[str, Any], HardwareConfig],
@@ -583,81 +590,43 @@ class ExperimentPlan:
     # ---------------------------------------------------------- execution
     def builder(self) -> Callable[[int], Testbed]:
         """The compiled seed -> :class:`Testbed` factory."""
-        definition = self.workload.definition
+        assemble: Callable[..., Testbed]
+        if self.graph is not None:
+            # Deferred imports: the assembly modules pull in every
+            # workload's building blocks, which only matters once a
+            # plan actually deploys a graph or a cluster.
+            from repro.graph.testbed import build_graph_testbed
+            assemble = partial(build_graph_testbed, self.workload.name,
+                               graph=self.graph)
+        elif not self.cluster.is_single_server:
+            from repro.cluster.testbed import build_cluster_testbed
+            assemble = partial(build_cluster_testbed, self.workload.name,
+                               cluster=self.cluster)
+        else:
+            assemble = self.workload.definition.build_testbed
         kwargs = self.workload.param_dict()
         if self.load.warmup_fraction is not None:
             kwargs["warmup_fraction"] = self.load.warmup_fraction
         if self.load.arrival is not None:
             kwargs["arrival"] = self.load.arrival
-        policy = self.policy
-
-        if self.graph is not None:
-            # Deferred import for the same reason as the cluster
-            # branch: the graph assembly pulls in every workload.
-            from repro.graph.testbed import build_graph_testbed
-            graph = self.graph
-
-            def build_graph(seed: int) -> Testbed:
-                extra = dict(kwargs)
-                obs = policy.observability()
-                if obs is not None:
-                    extra["obs"] = obs
-                if policy.engine != DEFAULT_ENGINE:
-                    extra["engine"] = policy.engine
-                return build_graph_testbed(
-                    self.workload.name, seed,
-                    client_config=self.hardware.client,
-                    server_config=self.hardware.server,
-                    qps=self.load.qps,
-                    num_requests=self.load.num_requests,
-                    graph=graph,
-                    **extra)
-
-            return build_graph
-
-        if not self.cluster.is_single_server:
-            # Deferred import: the assembly module pulls in every
-            # workload's building blocks, which only matters once a
-            # plan actually deploys a cluster.
-            from repro.cluster.testbed import build_cluster_testbed
-            cluster = self.cluster
-
-            def build_cluster(seed: int) -> Testbed:
-                # A fresh Observability per run: contexts are
-                # single-use like testbeds.  The kwarg is only passed
-                # when observability is on, so builders that predate
-                # it keep working untouched.  Same for the engine:
-                # the default reference loop is spelled by absence.
-                extra = dict(kwargs)
-                obs = policy.observability()
-                if obs is not None:
-                    extra["obs"] = obs
-                if policy.engine != DEFAULT_ENGINE:
-                    extra["engine"] = policy.engine
-                return build_cluster_testbed(
-                    self.workload.name, seed,
-                    client_config=self.hardware.client,
-                    server_config=self.hardware.server,
-                    qps=self.load.qps,
-                    num_requests=self.load.num_requests,
-                    cluster=cluster,
-                    **extra)
-
-            return build_cluster
+        # The default reference loop is spelled by absence, so
+        # builders that predate the engine kwarg keep working.
+        if self.policy.engine != DEFAULT_ENGINE:
+            kwargs["engine"] = self.policy.engine
+        policy, hardware, load = self.policy, self.hardware, self.load
 
         def build(seed: int) -> Testbed:
-            extra = dict(kwargs)
+            # A fresh Observability per run: contexts are single-use
+            # like testbeds, and the kwarg is only passed when
+            # observability is on (same reason as the engine).
             obs = policy.observability()
-            if obs is not None:
-                extra["obs"] = obs
-            if policy.engine != DEFAULT_ENGINE:
-                extra["engine"] = policy.engine
-            return definition.build_testbed(
+            extra = kwargs if obs is None else {**kwargs, "obs": obs}
+            return assemble(
                 seed,
-                client_config=self.hardware.client,
-                server_config=self.hardware.server,
-                qps=self.load.qps,
-                num_requests=self.load.num_requests,
+                client_config=hardware.client,
+                server_config=hardware.server,
+                qps=load.qps,
+                num_requests=load.num_requests,
                 **extra)
 
         return build

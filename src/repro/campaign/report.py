@@ -42,8 +42,9 @@ def _assemble_grid(spec: CampaignSpec,
                      conditions=dict(spec.conditions),
                      qps_list=spec.qps_list)
     for condition in conditions:
+        hardware = condition.plan.hardware
         cell = grid.cells.setdefault(
-            (condition.client_label, condition.condition_label), {})
+            (hardware.client_label, hardware.server_label), {})
         cell[condition.qps] = results[condition.content_hash()]
     return grid
 

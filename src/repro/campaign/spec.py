@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     List,
@@ -31,9 +30,14 @@ from typing import (
     Union,
 )
 
-if TYPE_CHECKING:
-    from repro.api.specs import ExperimentPlan
-
+from repro.api.specs import (
+    ExperimentPlan,
+    HardwareSpec,
+    LoadSpec,
+    RunPolicy,
+    WorkloadSpec,
+    _check_keys,
+)
 from repro.campaign.serialize import (
     content_hash,
     hardware_config_from_dict,
@@ -91,161 +95,120 @@ def cell_seed(base_seed: int, client: str, condition: str,
     return base_seed + (key % 1_000_003) * 10_000
 
 
+def _split_extra(extra: Mapping[str, Any]
+                 ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """Split an ``extra`` dict into (workload params, LoadSpec fields).
+
+    Every universal builder param maps to the LoadSpec field of the
+    same name (the contract a new ``UNIVERSAL_BUILDER_PARAMS`` entry
+    must uphold); everything left is a workload parameter.
+    """
+    params = dict(extra)
+    load = {spec.name: params.pop(spec.name)
+            for spec in UNIVERSAL_BUILDER_PARAMS if spec.name in params}
+    return params, load
+
+
 @dataclass(frozen=True)
 class ConditionSpec:
-    """One fully-resolved experimental condition.
+    """One fully-resolved experimental condition: the plan it runs.
 
-    Attributes:
-        workload: registered workload name (see
-            :mod:`repro.workloads.registry`).
-        client_label: client sweep label, e.g. ``"LP"``.
-        client_config: the client hardware configuration.
-        condition_label: server condition label, e.g. ``"SMToff"``.
-        server_config: the server hardware configuration.
-        qps: offered load.
-        runs: repetitions (the paper: 50).
-        num_requests: requests per run.
-        base_seed: first root seed of this condition's seed block.
-        extra: extra builder kwargs as sorted ``(name, value)`` pairs
-            (e.g. the synthetic workload's ``added_delay_us``).
-        cluster: server-side topology, or ``None`` for the paper's
-            single-server testbed.  A default (single-server) spec is
-            normalized to ``None`` so the condition's content hash --
-            the result-store memoization key -- is canonical: the
-            same deployment always produces the same key, and any
-            non-default cluster field (nodes, lb_policy, shards, ...)
-            produces a distinct one.
-        engine: event-loop engine name, or ``None`` for the reference
-            loop.  Normalized exactly like ``cluster``: naming the
-            default engine explicitly is stored as ``None`` and
-            omitted from the dict form, so every pre-engine condition
-            hash -- and every store row keyed by one -- is unchanged.
-        graph: multi-tier service-graph topology, or ``None`` for the
-            cluster / single-server paths.  Omitted from the dict form
-            when ``None``, preserving every pre-graph condition hash.
-        arrival: time-varying arrival shape, or ``None`` for the
-            stock Poisson process (the default spec normalizes to
-            ``None``, same canonicalization as ``cluster``).
-        workers: shard count for the sharded-execution path, or
-            ``None`` for a plain single-process run.  ``workers=1``
-            normalizes to ``None`` and is omitted from the dict form,
-            so every pre-parallel condition hash is unchanged; the
-            autotuner uses this field to search ``policy.workers``.
+    The plan is the single source of truth.  :meth:`to_dict` renders
+    it into the campaign *store-key layout* -- workload, client and
+    server labels and configs, qps, runs, num_requests, base_seed and
+    ``extra`` (the workload parameters plus ``warmup_fraction`` when
+    set), with ``cluster`` / ``engine`` / ``graph`` / ``arrival`` /
+    ``workers`` present only when non-default -- so a new plan field
+    left at its default never re-keys a stored result.
+    :meth:`from_dict` is its inverse.
+
+    The plan's ``policy.label`` is the condition :attr:`label`; the
+    observability knobs (sink, trace, metrics) are not part of the
+    key and stay at their defaults.
     """
 
-    workload: str
-    client_label: str
-    client_config: HardwareConfig
-    condition_label: str
-    server_config: HardwareConfig
-    qps: float
-    runs: int
-    num_requests: int
-    base_seed: int
-    extra: Tuple[Tuple[str, Any], ...] = ()
-    cluster: Optional[ClusterSpec] = None
-    engine: Optional[str] = None
-    graph: Optional[ServiceGraphSpec] = None
-    arrival: Optional[ArrivalSpec] = None
-    workers: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "extra",
-            tuple(sorted(_normalize_extra(dict(self.extra)).items())))
-        if self.cluster is not None:
-            cluster = as_cluster_spec(self.cluster)
-            object.__setattr__(
-                self, "cluster",
-                None if cluster.is_single_server else cluster)
-        if self.engine is not None:
-            engine = validate_engine_name(self.engine)
-            object.__setattr__(
-                self, "engine",
-                None if engine == DEFAULT_ENGINE else engine)
-        object.__setattr__(self, "graph", as_graph_spec(self.graph))
-        object.__setattr__(self, "arrival",
-                           as_arrival_spec(self.arrival))
-        if self.workers is not None:
-            workers = int(self.workers)
-            if workers < 1:
-                raise ExperimentError(
-                    f"workers must be >= 1, got {workers}")
-            object.__setattr__(self, "workers",
-                               None if workers == 1 else workers)
-        if self.graph is not None and self.cluster is not None:
-            raise ExperimentError(
-                "a condition deploys either a service graph or a "
-                "cluster, not both")
+    plan: ExperimentPlan
 
     @property
     def label(self) -> str:
         """The condition's series label, e.g. ``"LP-SMToff"``."""
-        return f"{self.client_label}-{self.condition_label}"
+        hardware = self.plan.hardware
+        return f"{hardware.client_label}-{hardware.server_label}"
 
-    def extra_kwargs(self) -> Dict[str, Any]:
-        """The extra builder kwargs as a dict."""
-        return dict(self.extra)
+    @property
+    def qps(self) -> float:
+        """Offered load."""
+        return self.plan.load.qps
+
+    @property
+    def runs(self) -> int:
+        """Repetitions."""
+        return self.plan.policy.runs
+
+    @property
+    def num_requests(self) -> int:
+        """Requests per run."""
+        return self.plan.load.num_requests
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-JSON form (the hash input and pickle payload).
-
-        The cluster key appears only for non-default topologies, so
-        every single-server condition hash -- and therefore every
-        result already sitting in a store -- is unchanged.
-        """
+        """Plain-JSON store-key layout (the hash input)."""
+        plan = self.plan
+        extra = plan.workload.param_dict()
+        for spec in UNIVERSAL_BUILDER_PARAMS:
+            value = getattr(plan.load, spec.name)
+            if value is not None:
+                extra[spec.name] = value
         data = {
-            "workload": self.workload,
-            "client_label": self.client_label,
-            "client_config": hardware_config_to_dict(self.client_config),
-            "condition_label": self.condition_label,
-            "server_config": hardware_config_to_dict(self.server_config),
-            "qps": self.qps,
-            "runs": self.runs,
-            "num_requests": self.num_requests,
-            "base_seed": self.base_seed,
-            "extra": dict(self.extra),
+            "workload": plan.workload.name,
+            "client_label": plan.hardware.client_label,
+            "client_config": hardware_config_to_dict(plan.hardware.client),
+            "condition_label": plan.hardware.server_label,
+            "server_config": hardware_config_to_dict(plan.hardware.server),
+            "qps": plan.load.qps,
+            "runs": plan.policy.runs,
+            "num_requests": plan.load.num_requests,
+            "base_seed": plan.policy.base_seed,
+            "extra": _normalize_extra(extra),
         }
-        if self.cluster is not None:
-            data["cluster"] = self.cluster.to_dict()
-        if self.engine is not None:
-            data["engine"] = self.engine
-        if self.graph is not None:
-            data["graph"] = self.graph.to_dict()
-        if self.arrival is not None:
-            data["arrival"] = self.arrival.to_dict()
-        if self.workers is not None:
-            data["workers"] = self.workers
+        if not plan.cluster.is_single_server:
+            data["cluster"] = plan.cluster.to_dict()
+        if plan.policy.engine != DEFAULT_ENGINE:
+            data["engine"] = plan.policy.engine
+        if plan.graph is not None:
+            data["graph"] = plan.graph.to_dict()
+        if plan.load.arrival is not None:
+            data["arrival"] = plan.load.arrival.to_dict()
+        if plan.policy.workers != 1:
+            data["workers"] = plan.policy.workers
         return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ConditionSpec":
-        """Rebuild a condition from its dict form."""
+        """Rebuild a condition (and its plan) from the store layout."""
         try:
-            return cls(
-                workload=str(data["workload"]),
-                client_label=str(data["client_label"]),
-                client_config=hardware_config_from_dict(
-                    data["client_config"]),
-                condition_label=str(data["condition_label"]),
-                server_config=hardware_config_from_dict(
-                    data["server_config"]),
-                qps=float(data["qps"]),
-                runs=int(data["runs"]),
-                num_requests=int(data["num_requests"]),
-                base_seed=int(data["base_seed"]),
-                extra=tuple(sorted(dict(data.get("extra", {})).items())),
-                cluster=(ClusterSpec.from_dict(data["cluster"])
-                         if "cluster" in data else None),
-                engine=data.get("engine"),
-                graph=(ServiceGraphSpec.from_dict(data["graph"])
-                       if "graph" in data else None),
-                arrival=(ArrivalSpec.from_dict(data["arrival"])
-                         if "arrival" in data else None),
-                workers=(int(data["workers"])
-                         if "workers" in data else None),
-            )
+            params, load = _split_extra(data.get("extra", {}))
+            client_label = str(data["client_label"])
+            condition_label = str(data["condition_label"])
+            return cls(ExperimentPlan(
+                workload=WorkloadSpec.create(str(data["workload"]),
+                                             **params),
+                load=LoadSpec(qps=data["qps"],
+                              num_requests=data["num_requests"],
+                              arrival=data.get("arrival"), **load),
+                hardware=HardwareSpec(
+                    client=data["client_config"],
+                    server=data["server_config"],
+                    client_label=client_label,
+                    server_label=condition_label),
+                policy=RunPolicy(
+                    runs=data["runs"], base_seed=data["base_seed"],
+                    label=f"{client_label}-{condition_label}",
+                    engine=data.get("engine", DEFAULT_ENGINE),
+                    workers=data.get("workers", 1)),
+                cluster=data.get("cluster"),
+                graph=data.get("graph"),
+            ))
         except KeyError as exc:
             raise ExperimentError(
                 f"invalid condition spec: missing {exc}") from exc
@@ -254,47 +217,9 @@ class ConditionSpec:
         """Stable identity of this condition across processes/sessions."""
         return content_hash(self.to_dict())
 
-    def to_plan(self) -> "ExperimentPlan":
-        """Compile this condition into an :class:`~repro.api.ExperimentPlan`.
-
-        The plan is what actually executes -- executor workers receive
-        plans, not label/kwargs tuples.  ``warmup_fraction``, if a
-        legacy ``extra`` carries it, moves into the plan's
-        :class:`~repro.api.LoadSpec`; everything else in ``extra`` is
-        a workload parameter validated against the registry schema.
-        The condition's :meth:`content_hash` stays the store key, so
-        stored campaign results keep their identity.
-        """
-        from repro.api.specs import (
-            ExperimentPlan,
-            HardwareSpec,
-            LoadSpec,
-            RunPolicy,
-            WorkloadSpec,
-        )
-
-        extra = self.extra_kwargs()
-        # Every universal builder param maps to the LoadSpec field of
-        # the same name (the contract a new UNIVERSAL_BUILDER_PARAMS
-        # entry must uphold); everything left is a workload param.
-        load_kwargs = {spec.name: extra.pop(spec.name)
-                       for spec in UNIVERSAL_BUILDER_PARAMS
-                       if spec.name in extra}
-        return ExperimentPlan(
-            workload=WorkloadSpec.create(self.workload, **extra),
-            load=LoadSpec(qps=self.qps, num_requests=self.num_requests,
-                          arrival=self.arrival, **load_kwargs),
-            hardware=HardwareSpec(
-                client=self.client_config, server=self.server_config,
-                client_label=self.client_label,
-                server_label=self.condition_label),
-            policy=RunPolicy(runs=self.runs, base_seed=self.base_seed,
-                             label=self.label,
-                             engine=self.engine or DEFAULT_ENGINE,
-                             workers=self.workers or 1),
-            cluster=self.cluster,
-            graph=self.graph,
-        )
+    def to_plan(self) -> ExperimentPlan:
+        """The :class:`~repro.api.ExperimentPlan` this condition runs."""
+        return self.plan
 
 
 def _coerce_server_condition(
@@ -334,6 +259,13 @@ def _coerce_clients(
                 for label, config in value.items()}
     return {str(name): hardware_config_from_dict(str(name))
             for name in value}
+
+
+#: Keys a campaign spec file may carry: the :meth:`CampaignSpec.to_dict`
+#: layout plus ``qps``, the alias for ``qps_list``.
+_CAMPAIGN_KEYS = ("name", "workload", "clients", "conditions", "qps_list",
+                  "qps", "runs", "num_requests", "base_seed", "extra",
+                  "cluster", "engine", "graph", "arrival")
 
 
 @dataclass
@@ -412,7 +344,7 @@ class CampaignSpec:
         # schema *now*, naming the offending key -- not at execution
         # time deep inside a worker process.  A workload the driving
         # process has not registered (a plugin the executor imports)
-        # defers validation to plan-build time.
+        # defers validation to expansion.
         definition = find_workload(self.workload)
         if definition is not None:
             self.extra = definition.validate_params(
@@ -426,29 +358,32 @@ class CampaignSpec:
         serial figure studies use, so a campaign-built grid renders
         its series in the same order.
         """
-        extra = tuple(sorted(self.extra.items()))
+        # One validated template; each cell swaps in its client,
+        # server, qps and seed block.
+        params, load = _split_extra(self.extra)
+        template = ExperimentPlan(
+            workload=WorkloadSpec.create(self.workload, **params),
+            load=LoadSpec(qps=self.qps_list[0],
+                          num_requests=self.num_requests,
+                          arrival=self.arrival, **load),
+            hardware=HardwareSpec(client=LP_CLIENT),
+            policy=RunPolicy(runs=self.runs,
+                             engine=self.engine or DEFAULT_ENGINE),
+            cluster=as_cluster_spec(self.cluster),
+            graph=self.graph,
+        )
         out: List[ConditionSpec] = []
         for client_label, client_config in self.clients.items():
+            client = template.with_client(client_config, client_label)
             for condition_label, server_config in self.conditions.items():
+                cell = client.with_server(server_config, condition_label)
                 for qps in self.qps_list:
                     out.append(ConditionSpec(
-                        workload=self.workload,
-                        client_label=client_label,
-                        client_config=client_config,
-                        condition_label=condition_label,
-                        server_config=server_config,
-                        qps=qps,
-                        runs=self.runs,
-                        num_requests=self.num_requests,
-                        base_seed=cell_seed(
-                            self.base_seed, client_label,
-                            condition_label, qps),
-                        extra=extra,
-                        cluster=self.cluster,
-                        engine=self.engine,
-                        graph=self.graph,
-                        arrival=self.arrival,
-                    ))
+                        cell.with_qps(qps).with_policy(
+                            base_seed=cell_seed(
+                                self.base_seed, client_label,
+                                condition_label, qps),
+                            label=f"{client_label}-{condition_label}")))
         return out
 
     def size(self) -> int:
@@ -496,7 +431,9 @@ class CampaignSpec:
         Accepts the shorthands documented in the module docstring:
         clients as a list of preset names, server conditions as knob
         dicts or preset names, ``qps`` as an alias for ``qps_list``.
+        Unknown keys are rejected with a did-you-mean hint.
         """
+        _check_keys(data, _CAMPAIGN_KEYS, "campaign")
         try:
             name = str(data["name"])
             workload = str(data["workload"])
@@ -521,13 +458,10 @@ class CampaignSpec:
             num_requests=int(data.get("num_requests", 1_000)),
             base_seed=int(data.get("base_seed", 0)),
             extra=dict(data.get("extra", {})),
-            cluster=(ClusterSpec.from_dict(data["cluster"])
-                     if "cluster" in data else None),
+            cluster=data.get("cluster"),
             engine=data.get("engine"),
-            graph=(ServiceGraphSpec.from_dict(data["graph"])
-                   if "graph" in data else None),
-            arrival=(ArrivalSpec.from_dict(data["arrival"])
-                     if "arrival" in data else None),
+            graph=data.get("graph"),
+            arrival=data.get("arrival"),
         )
 
     @classmethod

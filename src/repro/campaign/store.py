@@ -174,7 +174,7 @@ class ResultStore:
                     entry["result"])
             worker_pid = entry.get("worker_pid")
             rows.append((
-                spec.content_hash(), str(campaign), spec.workload,
+                spec.content_hash(), str(campaign), spec.plan.workload.name,
                 spec.label, spec.qps, spec.runs,
                 canonical_json(spec.to_dict()),
                 canonical_json(result_dict), now,

@@ -659,7 +659,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             tune_space = space_from_tunable_args(args.tunable)
         spec = _plan_campaign_spec(args)
         conditions = spec.expand()
-        plans = [c.to_plan() for c in conditions]
+        plans = [c.plan for c in conditions]
         if tune_space is not None:
             # Prove the space applies to this campaign's plans (field
             # paths, workload params, graph presets) -- still a dry

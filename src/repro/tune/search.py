@@ -41,6 +41,7 @@ from repro.campaign.spec import ConditionSpec, cell_seed
 from repro.campaign.store import ResultStore
 from repro.core.provisioning import CapacityResult
 from repro.errors import ExperimentError, SpecValidationError
+from repro.obs.sinks import DEFAULT_SINK
 from repro.tune.objective import CapacityObjective
 from repro.tune.space import SearchSpace
 from repro.tune.tunables import format_value, thaw
@@ -125,7 +126,8 @@ class CandidateEvaluator:
     condition-identity fields (workload + params, hardware pair, qps,
     runs, num_requests, seed block, cluster/graph/engine/arrival/
     workers) participate; observability toggles on the base plan
-    (sink, trace, metrics) do not affect scoring and are ignored.
+    (sink, trace, metrics) do not affect scoring and are reset to
+    their defaults.
 
     Args:
         plan: the base plan candidates are derived from.
@@ -170,28 +172,18 @@ class CandidateEvaluator:
         candidate = self.space.apply(self.plan, assignment)
         label = assignment_label(assignment)
         client_label = candidate.hardware.client_label or "client"
-        extra = dict(candidate.workload.params)
-        if candidate.load.warmup_fraction is not None:
-            extra["warmup_fraction"] = candidate.load.warmup_fraction
+        cell = (candidate
+                .with_client(candidate.hardware.client, client_label)
+                .with_server(candidate.hardware.server, label)
+                .with_load(num_requests=int(num_requests))
+                .with_policy(runs=self.runs,
+                             label=f"{client_label}-{label}",
+                             sink=DEFAULT_SINK, trace=False,
+                             metrics=False))
         return [
-            ConditionSpec(
-                workload=candidate.workload.name,
-                client_label=client_label,
-                client_config=candidate.hardware.client,
-                condition_label=label,
-                server_config=candidate.hardware.server,
-                qps=float(qps),
-                runs=self.runs,
-                num_requests=int(num_requests),
+            ConditionSpec(cell.with_qps(qps).with_policy(
                 base_seed=cell_seed(self.base_seed, client_label,
-                                    label, float(qps)),
-                extra=tuple(sorted(extra.items())),
-                cluster=candidate.cluster,
-                engine=candidate.policy.engine,
-                graph=candidate.graph,
-                arrival=candidate.load.arrival,
-                workers=candidate.policy.workers,
-            )
+                                    label, float(qps))))
             for qps in self.objective.qps_list]
 
     def cost_per_trial(self, num_requests: int) -> int:

@@ -19,8 +19,8 @@ from repro.config.presets import (
 )
 from repro.errors import ExperimentError
 from repro.workloads.registry import (
+    WorkloadDefinition,
     builder_by_name,
-    register_builder,
     register_workload,
     registered_workloads,
     workload_by_name,
@@ -58,15 +58,17 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         original = workload_by_name("memcached")
-        builder = builder_by_name("memcached")
+        replacement = WorkloadDefinition(
+            name="memcached", builder=builder_by_name("memcached"))
         try:
             with pytest.raises(ExperimentError):
-                register_builder("memcached", builder)
-            register_builder("memcached", builder, replace=True)
+                register_workload(replacement)
+            register_workload(replacement, replace=True)
+            assert workload_by_name("memcached") is replacement
         finally:
-            # Restore the typed definition even on failure: the
-            # legacy shim registers a schema-less one, which would
-            # mask parameter validation for the rest of the session.
+            # Restore the original definition even on failure: the
+            # replacement would otherwise serve every later test in
+            # the session.
             register_workload(original, replace=True)
         assert workload_by_name("memcached") is original
 
@@ -179,15 +181,15 @@ def _flaky_builder(seed, client_config, server_config=None,
                    qps=0.0, num_requests=0, **extra):
     if qps >= 50_000:
         raise RuntimeError("injected failure above 50K")
-    from repro.workloads.memcached import build_memcached_testbed
-
-    return build_memcached_testbed(
+    return builder_by_name("memcached")(
         seed, client_config=client_config, server_config=server_config,
         qps=qps, num_requests=num_requests, **extra)
 
 
-register_builder("broken-test", _broken_builder, replace=True)
-register_builder("flaky-test", _flaky_builder, replace=True)
+register_workload(WorkloadDefinition(
+    name="broken-test", builder=_broken_builder), replace=True)
+register_workload(WorkloadDefinition(
+    name="flaky-test", builder=_flaky_builder), replace=True)
 
 
 class TestFailureIsolation:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import experiment
 from repro.campaign.serialize import (
     experiment_result_from_dict,
     experiment_result_to_dict,
@@ -19,10 +20,8 @@ from repro.config.presets import (
     SERVER_BASELINE,
     server_with_smt,
 )
-from repro.core.experiment import run_experiment
 from repro.core.testbed import RunMetrics
 from repro.errors import ExperimentError
-from repro.workloads.memcached import build_memcached_testbed
 
 
 def small_spec(**overrides):
@@ -77,11 +76,10 @@ class TestResultSerialization:
             run_metrics_to_dict(metrics)) == metrics
 
     def test_experiment_result_round_trip_is_exact(self):
-        result = run_experiment(
-            lambda seed: build_memcached_testbed(
-                seed, client_config=LP_CLIENT, qps=50_000,
-                num_requests=60),
-            runs=3, base_seed=5, label="LP-test")
+        result = (experiment("memcached").client(LP_CLIENT)
+                  .load(qps=50_000, num_requests=60)
+                  .policy(runs=3, base_seed=5, label="LP-test")
+                  .run())
         data = json.loads(json.dumps(experiment_result_to_dict(result)))
         rebuilt = experiment_result_from_dict(data)
         assert rebuilt.label == result.label
@@ -97,7 +95,8 @@ class TestExpansion:
         conditions = spec.expand()
         assert len(conditions) == spec.size() == 2 * 2 * 2
         # Clients x conditions x qps, in declaration order.
-        assert [(c.client_label, c.condition_label, c.qps)
+        assert [(c.plan.hardware.client_label,
+                 c.plan.hardware.server_label, c.qps)
                 for c in conditions[:3]] == [
                     ("LP", "SMToff", 10_000.0),
                     ("LP", "SMToff", 50_000.0),
@@ -107,8 +106,9 @@ class TestExpansion:
         """Campaign seeds must equal the legacy grid seeds, or store
         hits would not be interchangeable with study cells."""
         for condition in small_spec().expand():
-            assert condition.base_seed == cell_seed(
-                0, condition.client_label, condition.condition_label,
+            hardware = condition.plan.hardware
+            assert condition.plan.policy.base_seed == cell_seed(
+                0, hardware.client_label, hardware.server_label,
                 condition.qps)
 
     def test_seed_depends_on_identity_not_position(self):
@@ -121,14 +121,17 @@ class TestExpansion:
         base0 = small_spec().expand()
         base9 = small_spec(base_seed=9).expand()
         for a, b in zip(base0, base9):
-            assert b.base_seed == a.base_seed + 9
+            assert (b.plan.policy.base_seed
+                    == a.plan.policy.base_seed + 9)
             assert a.content_hash() != b.content_hash()
 
     def test_extra_kwargs_flow_into_conditions(self):
         spec = small_spec(workload="synthetic",
                           extra={"added_delay_us": 100.0})
         condition = spec.expand()[0]
-        assert condition.extra_kwargs() == {"added_delay_us": 100.0}
+        assert condition.plan.workload.param_dict() == {
+            "added_delay_us": 100.0}
+        assert condition.to_dict()["extra"] == {"added_delay_us": 100.0}
 
     def test_label(self):
         condition = small_spec().expand()[0]
@@ -242,6 +245,16 @@ class TestFromDict:
         data["conditions"] = {"x": {"knob": "turbo"}}
         with pytest.raises(ExperimentError):
             CampaignSpec.from_dict(data)
+        # A misspelled top-level key fails too, instead of silently
+        # planning with the default it was meant to override.
+        data = self.spec_dict()
+        del data["num_requests"]
+        data.update(num_request=100, engin="vectorized")
+        with pytest.raises(ExperimentError) as exc:
+            CampaignSpec.from_dict(data)
+        assert "'num_request' (did you mean 'num_requests'?)" in str(
+            exc.value)
+        assert "'engin' (did you mean 'engine'?)" in str(exc.value)
 
     def test_missing_fields_rejected(self):
         with pytest.raises(ExperimentError):

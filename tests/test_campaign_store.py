@@ -5,9 +5,7 @@ import pytest
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore, open_store, require_store
 from repro.config.presets import LP_CLIENT, server_with_smt
-from repro.core.experiment import run_experiment
 from repro.errors import ExperimentError
-from repro.workloads.memcached import build_memcached_testbed
 
 
 @pytest.fixture
@@ -30,13 +28,7 @@ def store():
 
 
 def run_one(condition):
-    return run_experiment(
-        lambda seed: build_memcached_testbed(
-            seed, client_config=condition.client_config,
-            server_config=condition.server_config, qps=condition.qps,
-            num_requests=condition.num_requests),
-        runs=condition.runs, base_seed=condition.base_seed,
-        label=condition.label)
+    return condition.plan.run()
 
 
 class TestTimings:
@@ -221,7 +213,7 @@ class TestClusterHashCoverage:
             fetched = store.get(condition.content_hash())
             assert fetched.runs == result.runs
             spec = store.get_spec(condition.content_hash())
-            assert spec.cluster == condition.cluster
+            assert spec.plan.cluster == condition.plan.cluster
 
     def test_cluster_condition_does_not_collide_with_single(
             self, spec, store):
@@ -303,5 +295,5 @@ class TestGraphHashCoverage:
         fetched = store.get(condition.content_hash())
         assert fetched.runs == result.runs
         spec = store.get_spec(condition.content_hash())
-        assert spec.graph == condition.graph
-        assert spec.arrival == condition.arrival
+        assert spec.plan.graph == condition.plan.graph
+        assert spec.plan.load.arrival == condition.plan.load.arrival

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro.campaign.store import ResultStore
 from repro.cli import main as cli_main
+from repro.workloads.registry import WorkloadDefinition, register_workload
 
 SPEC = {
     "name": "cli-campaign",
@@ -18,6 +20,15 @@ SPEC = {
     "runs": 2,
     "num_requests": 60,
 }
+
+
+def _broken_builder(seed, client_config, server_config=None, qps=0.0,
+                    num_requests=0, **extra):
+    raise RuntimeError(f"injected failure at qps={qps:g}")
+
+
+register_workload(WorkloadDefinition(
+    name="broken-cli-test", builder=_broken_builder), replace=True)
 
 
 @pytest.fixture
@@ -70,12 +81,25 @@ class TestCampaignRun:
 
     def test_failed_condition_sets_exit_code(self, tmp_path, store_path,
                                              capsys):
-        bad = dict(SPEC, workload="not-registered")
+        bad = dict(SPEC, workload="broken-cli-test")
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert cli_main(["campaign", "run", "--spec", str(path),
                          "--store", store_path, "--serial"]) == 1
         assert "failed" in capsys.readouterr().out
+
+    def test_unknown_workload_fails_before_running(self, tmp_path,
+                                                   store_path, capsys):
+        """An unregistered workload fails when the campaign expands
+        into plans, before any condition runs or is stored."""
+        bad = dict(SPEC, workload="not-registered")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert cli_main(["campaign", "run", "--spec", str(path),
+                         "--store", store_path, "--serial"]) == 1
+        assert "not-registered" in capsys.readouterr().err
+        with ResultStore(store_path) as store:
+            assert store.count() == 0
 
 
 class TestCampaignStatus:

@@ -251,8 +251,8 @@ class TestCampaignIntegration:
         cluster = ClusterSpec(nodes=3, lb_policy="random")
         spec = self.base(cluster=cluster)
         condition = spec.expand()[0]
-        assert condition.cluster == cluster
-        assert condition.to_plan().cluster == cluster
+        assert condition.plan.cluster == cluster
+        assert condition.to_dict()["cluster"] == cluster.to_dict()
 
     def test_campaign_dict_round_trip_with_cluster(self):
         spec = self.base(cluster={"nodes": 2, "shards": 2})

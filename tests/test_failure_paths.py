@@ -5,7 +5,7 @@ import pytest
 from repro.config.presets import HP_CLIENT, LP_CLIENT
 from repro.errors import ExperimentError
 from repro.hardware.machine import Machine
-from repro.workloads.memcached import build_memcached_testbed
+from repro.workloads.registry import workload_by_name
 
 
 def drop_one_request(testbed, victim_id=3):
@@ -25,7 +25,7 @@ class TestTestbedFailures:
         """If a request goes missing (lost packet, wiring bug), run()
         must raise rather than return statistics over a partial
         sample."""
-        testbed = build_memcached_testbed(
+        testbed = workload_by_name("memcached").builder(
             seed=1, client_config=HP_CLIENT, qps=50_000,
             num_requests=50)
         drop_one_request(testbed)
@@ -33,7 +33,7 @@ class TestTestbedFailures:
             testbed.run()
 
     def test_single_use_enforced_even_after_failure(self):
-        testbed = build_memcached_testbed(
+        testbed = workload_by_name("memcached").builder(
             seed=1, client_config=HP_CLIENT, qps=50_000,
             num_requests=50)
         drop_one_request(testbed)
@@ -68,10 +68,10 @@ class TestMachineFailures:
 
 class TestExperimentFailures:
     def test_builder_exception_propagates(self):
-        from repro.core.experiment import run_experiment
+        from repro.core.experiment import Experiment
 
         def broken_builder(seed):
             raise RuntimeError("testbed assembly failed")
 
         with pytest.raises(RuntimeError):
-            run_experiment(broken_builder, runs=2)
+            Experiment(broken_builder, runs=2).run()

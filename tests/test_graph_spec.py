@@ -211,6 +211,42 @@ class TestPlanPlumbing:
                 nodes=4, lb_policy="round-robin"))
 
 
+def _store_key_campaign(**overrides):
+    from repro.campaign.spec import CampaignSpec
+    from repro.config.presets import SERVER_BASELINE
+
+    fields = dict(name="s", workload="memcached",
+                  conditions={"baseline": SERVER_BASELINE},
+                  qps_list=(50_000.0,), runs=2, num_requests=100)
+    fields.update(overrides)
+    return CampaignSpec(**fields).expand()
+
+
+def _preset_campaign(name):
+    from repro.campaign.presets import campaign_by_name
+
+    return campaign_by_name(name).expand()
+
+
+def _autotune_conditions():
+    from repro.tune import CapacityObjective, SearchSpace
+    from repro.tune.search import CandidateEvaluator
+    from repro.tune.tunables import CategoricalTunable, IntRangeTunable
+
+    plan = (experiment("memcached").client("LP")
+            .load(qps=100_000, num_requests=100)
+            .policy(sink="streaming").build())
+    space = SearchSpace(tunables=(
+        CategoricalTunable(name="engine", field="policy.engine",
+                           values=("reference", "vectorized")),
+        IntRangeTunable(name="w", field="policy.workers",
+                        low=1, high=2)))
+    evaluator = CandidateEvaluator(
+        plan, space, CapacityObjective(qps_list=(400_000.0,)),
+        runs=1, base_seed=5)
+    return evaluator.conditions({"engine": "vectorized", "w": 2}, 100)
+
+
 class TestPreGraphByteStability:
     """Every pre-graph plan hash and store key is frozen.
 
@@ -250,6 +286,45 @@ class TestPreGraphByteStability:
         assert spec.expand()[0].content_hash() == (
             "ff21ff72b22dbfe1d8b0942cd3bfb192"
             "6beeabff1987959bba9152f63d88b540")
+
+        # Conditions carrying the optional store-key fields, pinned
+        # from the commit before conditions became plans.
+        builds = {
+            "synthetic-int-param-and-warmup": lambda: _store_key_campaign(
+                workload="synthetic",
+                extra={"added_delay_us": 200, "warmup_fraction": 0.1}),
+            "vectorized-engine": lambda: _store_key_campaign(
+                engine="vectorized"),
+            "diurnal-arrival": lambda: _store_key_campaign(arrival={
+                "shape": "diurnal", "period_us": 20000.0,
+                "amplitude": 0.5}),
+            "preset-memcached-cluster": lambda: _preset_campaign(
+                "memcached-cluster"),
+            "preset-memcached-cached": lambda: _preset_campaign(
+                "memcached-cached"),
+            "autotune-engine-workers": _autotune_conditions,
+        }
+        assert {name: build()[0].content_hash()
+                for name, build in builds.items()} == {
+            "synthetic-int-param-and-warmup":
+                "3728e0e866385a44d0a9e9eef16b395b"
+                "0633033748f3eacb754e1ae7927b2126",
+            "vectorized-engine":
+                "00f2898e760de90ee2f07894c072f6ab"
+                "56d576a3e94e8db0739bbe3aa09c6bdc",
+            "diurnal-arrival":
+                "6c85c64870c0080ff5c7ea9f4f477ebd"
+                "65da42592114019f987015b4cb83e7c4",
+            "preset-memcached-cluster":
+                "8ed5df8044ee58c775df5350c6fa76e1"
+                "24a8b5059ad8fe6c747c3e1055994df0",
+            "preset-memcached-cached":
+                "3aca4f09e99dd0c9311ec94985d8225e"
+                "eb0a6f6236f82e6d8760ad0695bedb93",
+            "autotune-engine-workers":
+                "156a1c253aa3eadbc17c8591672a2b1e"
+                "72fff79cd0ed8d99ba684588041893e5",
+        }
 
     def test_serialized_forms_omit_graph_era_fields(self):
         plan = experiment("memcached").build()

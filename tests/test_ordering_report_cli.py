@@ -8,7 +8,7 @@ from repro.cli import main as cli_main
 from repro.config.presets import HP_CLIENT, LP_CLIENT
 from repro.core.ordering import build_schedule, run_ordered
 from repro.errors import ExperimentError
-from repro.workloads.memcached import build_memcached_testbed
+from repro.workloads.registry import workload_by_name
 
 
 class TestSchedule:
@@ -48,11 +48,12 @@ class TestSchedule:
 
 class TestRunOrdered:
     def builders(self):
+        memcached = workload_by_name("memcached").builder
         return {
-            "LP": lambda seed: build_memcached_testbed(
+            "LP": lambda seed: memcached(
                 seed, client_config=LP_CLIENT, qps=50_000,
                 num_requests=100),
-            "HP": lambda seed: build_memcached_testbed(
+            "HP": lambda seed: memcached(
                 seed, client_config=HP_CLIENT, qps=50_000,
                 num_requests=100),
         }

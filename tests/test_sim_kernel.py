@@ -26,6 +26,7 @@ from repro.api.specs import RunPolicy
 from repro.campaign.serialize import (
     content_hash,
     experiment_result_to_dict,
+    hardware_config_to_dict,
 )
 from repro.campaign.spec import ConditionSpec
 from repro.config.presets import LP_CLIENT, SERVER_BASELINE
@@ -87,15 +88,16 @@ class TestEngineRegistry:
         def condition(**overrides):
             fields = dict(
                 workload="memcached", client_label="LP",
-                client_config=LP_CLIENT, condition_label="baseline",
-                server_config=SERVER_BASELINE, qps=50_000.0,
-                runs=1, num_requests=40, base_seed=7)
+                client_config=hardware_config_to_dict(LP_CLIENT),
+                condition_label="baseline",
+                server_config=hardware_config_to_dict(SERVER_BASELINE),
+                qps=50_000.0, runs=1, num_requests=40, base_seed=7)
             fields.update(overrides)
-            return ConditionSpec(**fields)
+            return ConditionSpec.from_dict(fields)
 
         base = condition()
         explicit = condition(engine="reference")
-        assert explicit.engine is None
+        assert "engine" not in explicit.to_dict()
         assert content_hash(explicit.to_dict()) == content_hash(base.to_dict())
         vectorized = condition(engine="vectorized")
         assert vectorized.to_dict()["engine"] == "vectorized"

@@ -212,6 +212,27 @@ class TestHalvingPromotion:
             make_driver("halvng")
 
 
+class TestCandidateConditions:
+    def test_observability_toggles_are_reset(self):
+        """Sink, trace and metrics are not part of a condition's store
+        key, so an observed base plan must run (and hash) exactly like
+        an unobserved one."""
+        observed = (experiment("memcached").client("LP")
+                    .policy(sink="streaming", trace=True, metrics=True)
+                    .build())
+        conditions = {}
+        for plan in (observed, base_plan()):
+            evaluator = CandidateEvaluator(
+                plan, two_knob_space(), objective(), runs=2,
+                base_seed=7)
+            conditions[plan.policy.sink] = evaluator.conditions(
+                {"smt": True, "gov": "performance"}, 100)
+        for condition in conditions["streaming"]:
+            assert not condition.plan.policy.observed
+        assert ([c.plan for c in conditions["streaming"]]
+                == [c.plan for c in conditions["columnar"]])
+
+
 class TestSearchOnRealSimulator:
     def test_grid_finds_max_capacity_config(self):
         """The acceptance scenario: smt x governor over memcached."""

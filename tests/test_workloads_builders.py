@@ -6,20 +6,23 @@ import pytest
 from repro.config.presets import HP_CLIENT, LP_CLIENT
 from repro.errors import ConfigurationError, ExperimentError
 from repro.units import MS
-from repro.workloads.memcached import build_memcached_testbed
-from repro.workloads.hdsearch import build_hdsearch_testbed
+from repro.workloads.registry import workload_by_name
 from repro.workloads.socialnetwork import (
-    build_socialnetwork_testbed,
     social_graph,
     timeline_length_distribution,
 )
-from repro.workloads.synthetic import DelayedService, build_synthetic_testbed
+from repro.workloads.synthetic import DelayedService
+
+
+def build(workload, **kwargs):
+    """One testbed from *workload*'s registered builder."""
+    return workload_by_name(workload).builder(**kwargs)
 
 
 class TestMemcachedTestbed:
     def test_run_produces_metrics(self):
-        testbed = build_memcached_testbed(
-            seed=1, client_config=HP_CLIENT, qps=50_000,
+        testbed = build(
+            "memcached", seed=1, client_config=HP_CLIENT, qps=50_000,
             num_requests=200)
         metrics = testbed.run()
         assert metrics.requests == 180  # 10% warmup trimmed
@@ -28,69 +31,69 @@ class TestMemcachedTestbed:
         assert metrics.avg_us >= metrics.true_avg_us
 
     def test_identical_seeds_identical_results(self):
-        a = build_memcached_testbed(
-            seed=9, client_config=LP_CLIENT, qps=50_000,
+        a = build(
+            "memcached", seed=9, client_config=LP_CLIENT, qps=50_000,
             num_requests=150).run()
-        b = build_memcached_testbed(
-            seed=9, client_config=LP_CLIENT, qps=50_000,
+        b = build(
+            "memcached", seed=9, client_config=LP_CLIENT, qps=50_000,
             num_requests=150).run()
         assert a.avg_us == b.avg_us
         assert a.p99_us == b.p99_us
 
     def test_different_seeds_differ(self):
-        a = build_memcached_testbed(
-            seed=1, client_config=LP_CLIENT, qps=50_000,
+        a = build(
+            "memcached", seed=1, client_config=LP_CLIENT, qps=50_000,
             num_requests=150).run()
-        b = build_memcached_testbed(
-            seed=2, client_config=LP_CLIENT, qps=50_000,
+        b = build(
+            "memcached", seed=2, client_config=LP_CLIENT, qps=50_000,
             num_requests=150).run()
         assert a.avg_us != b.avg_us
 
     def test_testbed_is_single_use(self):
-        testbed = build_memcached_testbed(
-            seed=1, client_config=HP_CLIENT, qps=50_000,
+        testbed = build(
+            "memcached", seed=1, client_config=HP_CLIENT, qps=50_000,
             num_requests=100)
         testbed.run()
         with pytest.raises(ExperimentError):
             testbed.run()
 
     def test_latency_scale_is_tens_of_microseconds(self):
-        metrics = build_memcached_testbed(
-            seed=3, client_config=HP_CLIENT, qps=50_000,
+        metrics = build(
+            "memcached", seed=3, client_config=HP_CLIENT, qps=50_000,
             num_requests=300).run()
         assert 20.0 < metrics.avg_us < 200.0
 
     def test_utilization_grows_with_load(self):
-        low = build_memcached_testbed(
-            seed=4, client_config=HP_CLIENT, qps=10_000,
+        low = build(
+            "memcached", seed=4, client_config=HP_CLIENT, qps=10_000,
             num_requests=300).run()
-        high = build_memcached_testbed(
-            seed=4, client_config=HP_CLIENT, qps=500_000,
+        high = build(
+            "memcached", seed=4, client_config=HP_CLIENT, qps=500_000,
             num_requests=300).run()
         assert high.server_utilization > low.server_utilization
 
 
 class TestHdsearchTestbed:
     def test_latency_is_sub_millisecond_scale(self):
-        metrics = build_hdsearch_testbed(
-            seed=1, client_config=HP_CLIENT, qps=1_000,
+        metrics = build(
+            "hdsearch", seed=1, client_config=HP_CLIENT, qps=1_000,
             num_requests=200).run()
         assert 0.2 * MS < metrics.avg_us < 3 * MS
 
     def test_much_slower_than_memcached(self):
-        hdsearch = build_hdsearch_testbed(
-            seed=1, client_config=HP_CLIENT, qps=1_000,
+        hdsearch = build(
+            "hdsearch", seed=1, client_config=HP_CLIENT, qps=1_000,
             num_requests=150).run()
-        memcached = build_memcached_testbed(
-            seed=1, client_config=HP_CLIENT, qps=100_000,
+        memcached = build(
+            "memcached", seed=1, client_config=HP_CLIENT, qps=100_000,
             num_requests=150).run()
         assert hdsearch.avg_us > 5 * memcached.avg_us
 
     def test_deterministic(self):
-        a = build_hdsearch_testbed(seed=5, client_config=LP_CLIENT,
-                                   qps=1_000, num_requests=100).run()
-        b = build_hdsearch_testbed(seed=5, client_config=LP_CLIENT,
-                                   qps=1_000, num_requests=100).run()
+        a = build("hdsearch", seed=5, client_config=LP_CLIENT,
+                  qps=1_000, num_requests=100).run()
+        b = build("hdsearch", seed=5, client_config=LP_CLIENT,
+                  qps=1_000, num_requests=100).run()
         assert a.avg_us == b.avg_us
 
 
@@ -107,15 +110,15 @@ class TestSocialNetworkTestbed:
         assert np.mean(lengths) > 1
 
     def test_latency_is_millisecond_scale(self):
-        metrics = build_socialnetwork_testbed(
-            seed=1, client_config=HP_CLIENT, qps=300,
+        metrics = build(
+            "socialnetwork", seed=1, client_config=HP_CLIENT, qps=300,
             num_requests=150).run()
         assert 1 * MS < metrics.avg_us < 10 * MS
         assert metrics.p99_us > 2 * MS
 
     def test_p99_heavy_tail(self):
-        metrics = build_socialnetwork_testbed(
-            seed=2, client_config=HP_CLIENT, qps=300,
+        metrics = build(
+            "socialnetwork", seed=2, client_config=HP_CLIENT, qps=300,
             num_requests=200).run()
         assert metrics.p99_us > 2 * metrics.avg_us
 
@@ -126,8 +129,8 @@ class TestSyntheticTestbed:
         increase of the added delay' (validation of the workload)."""
         points = []
         for delay in (0.0, 100.0, 200.0, 400.0):
-            metrics = build_synthetic_testbed(
-                seed=1, client_config=HP_CLIENT, qps=5_000,
+            metrics = build(
+                "synthetic", seed=1, client_config=HP_CLIENT, qps=5_000,
                 added_delay_us=delay, num_requests=200).run()
             points.append((delay, metrics.avg_us))
         base = points[0][1]
