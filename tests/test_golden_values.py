@@ -24,6 +24,7 @@ from repro.workloads.registry import builder_by_name
 
 #: workload -> (qps, num_requests, avg_us, p99_us, true_avg_us,
 #:              true_p99_us, measured_requests); root seed 1234.
+#: The socialnetwork entry was captured later, at commit ``d76934a``.
 GOLDEN = {
     "memcached": (
         50_000, 400,
@@ -33,6 +34,10 @@ GOLDEN = {
         1_000, 200,
         575.3908164276042, 835.5742187417833,
         424.0981663402566, 681.5484531545002, 180),
+    "socialnetwork": (
+        300, 200,
+        2081.2212581540834, 6915.8578890226445,
+        2007.3451392716565, 6816.719332385987, 180),
     "synthetic": (
         10_000, 400,
         95.93226054954478, 117.42871368345781,
@@ -85,7 +90,9 @@ def test_golden_runs_are_reproducible_within_session(workload):
 #:              true_avg_us, true_p99_us, measured_requests); captured
 #: from the cluster subsystem's introducing commit at root seed 1234.
 #: Per-node load matches the single-server goldens above (memcached:
-#: 4 x 50K aggregate through a round-robin balancer).
+#: 4 x 50K aggregate through a round-robin balancer).  The
+#: socialnetwork entry (the one tiered-service cluster) was captured
+#: later, at commit ``d76934a``.
 CLUSTER_GOLDEN = {
     "memcached-rr4": (
         "memcached", ClusterSpec(nodes=4, lb_policy="round-robin"),
@@ -97,6 +104,11 @@ CLUSTER_GOLDEN = {
         2_000, 200,
         680.5289735565309, 998.0148660926322,
         518.5472492595583, 767.9451078624642, 180),
+    "socialnetwork-rr2": (
+        "socialnetwork", ClusterSpec(nodes=2, lb_policy="round-robin"),
+        600, 200,
+        1786.3787679846234, 3827.2325022230275,
+        1715.4985887306607, 3735.0147717173427, 180),
 }
 
 
