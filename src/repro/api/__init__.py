@@ -22,8 +22,10 @@ serializable spec; run it anywhere::
 Validation happens at construction: unknown workloads fail with a
 did-you-mean error listing the registry, unknown workload parameters
 fail naming the valid keys.  New workloads join the API by calling
-:func:`register_workload` with a :class:`WorkloadDefinition` (builder
-+ parameter schema); see :mod:`repro.workloads.registry`.
+:func:`register_workload` with a :class:`WorkloadDefinition` (its
+service, generator and request-factory parts + parameter schema) and
+deploy on a single server, a cluster or a service graph alike; see
+:mod:`repro.workloads.registry`.
 """
 
 from repro.api.builder import PlanBuilder, experiment

@@ -590,44 +590,26 @@ class ExperimentPlan:
     # ---------------------------------------------------------- execution
     def builder(self) -> Callable[[int], Testbed]:
         """The compiled seed -> :class:`Testbed` factory."""
-        assemble: Callable[..., Testbed]
-        if self.graph is not None:
-            # Deferred imports: the assembly modules pull in every
-            # workload's building blocks, which only matters once a
-            # plan actually deploys a graph or a cluster.
-            from repro.graph.testbed import build_graph_testbed
-            assemble = partial(build_graph_testbed, self.workload.name,
-                               graph=self.graph)
-        elif not self.cluster.is_single_server:
-            from repro.cluster.testbed import build_cluster_testbed
-            assemble = partial(build_cluster_testbed, self.workload.name,
-                               cluster=self.cluster)
-        else:
-            assemble = self.workload.definition.build_testbed
         kwargs = self.workload.param_dict()
         if self.load.warmup_fraction is not None:
             kwargs["warmup_fraction"] = self.load.warmup_fraction
-        if self.load.arrival is not None:
-            kwargs["arrival"] = self.load.arrival
-        # The default reference loop is spelled by absence, so
-        # builders that predate the engine kwarg keep working.
-        if self.policy.engine != DEFAULT_ENGINE:
-            kwargs["engine"] = self.policy.engine
-        policy, hardware, load = self.policy, self.hardware, self.load
+        assemble = partial(
+            self.workload.definition.build_testbed,
+            client_config=self.hardware.client,
+            server_config=self.hardware.server,
+            qps=self.load.qps,
+            num_requests=self.load.num_requests,
+            cluster=self.cluster,
+            graph=self.graph,
+            arrival=self.load.arrival,
+            engine=self.policy.engine,
+            **kwargs)
+        policy = self.policy
 
         def build(seed: int) -> Testbed:
             # A fresh Observability per run: contexts are single-use
-            # like testbeds, and the kwarg is only passed when
-            # observability is on (same reason as the engine).
-            obs = policy.observability()
-            extra = kwargs if obs is None else {**kwargs, "obs": obs}
-            return assemble(
-                seed,
-                client_config=hardware.client,
-                server_config=hardware.server,
-                qps=load.qps,
-                num_requests=load.num_requests,
-                **extra)
+            # like testbeds.
+            return assemble(seed, obs=policy.observability())
 
         return build
 

@@ -729,22 +729,25 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     """Run one cluster experiment and summarize it per node."""
-    from repro.api import experiment
+    from repro.api import ClusterSpec, experiment
     from repro.errors import ReproError
     from repro.workloads.registry import workload_by_name
 
     try:
         definition = workload_by_name(args.workload)
+        # Validate the topology before deriving the default load from
+        # it, so a bad --nodes is reported as such.
+        cluster = ClusterSpec(nodes=args.nodes, lb_policy=args.policy,
+                              shards=args.shards, fanout=args.fanout,
+                              quorum=args.quorum,
+                              replication=args.replication)
         qps = (args.qps if args.qps is not None
-               else definition.default_qps * args.nodes)
+               else definition.default_qps * cluster.nodes)
         plan = (experiment(args.workload)
                 .client(client_by_name(args.client))
                 .load(qps=qps, num_requests=args.requests)
                 .policy(runs=args.runs, base_seed=args.seed)
-                .cluster(nodes=args.nodes, lb_policy=args.policy,
-                         shards=args.shards, fanout=args.fanout,
-                         quorum=args.quorum,
-                         replication=args.replication)
+                .cluster(cluster)
                 .build())
         result = plan.run()
         avg = float(np.median(result.avg_samples()))

@@ -34,7 +34,6 @@ from repro.graph.spec import (
 from repro.graph.testbed import (
     GraphStage,
     ServiceGraph,
-    build_graph_testbed,
     build_service_graph,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "TIER_SERVICE",
     "as_graph_spec",
     "as_resilience_policy",
-    "build_graph_testbed",
     "build_service_graph",
     "graph_preset",
     "graph_preset_names",

@@ -10,11 +10,13 @@
   sensitivity workload.
 
 Each workload registers a :class:`~repro.workloads.registry.\
-WorkloadDefinition` -- builder + typed parameter schema -- in
+WorkloadDefinition` -- its parts (service, generator and request
+factories) + typed parameter schema -- in
 :mod:`repro.workloads.registry`, the plugin protocol the
 :mod:`repro.api` plan layer compiles against.  Testbeds are built
 through a plan (``experiment("memcached")...build().testbed(seed)``)
-or, below the plan layer, ``workload_by_name(name).builder``.
+or, below the plan layer, ``workload_by_name(name).build_testbed``,
+which deploys the parts on a single server, a cluster or a graph.
 """
 
 from repro.workloads.etc import EtcWorkload
@@ -22,7 +24,6 @@ from repro.workloads.registry import (
     DEFAULT_QPS_SWEEPS,
     ParamSpec,
     WorkloadDefinition,
-    builder_by_name,
     find_workload,
     register_workload,
     registered_workloads,
@@ -34,7 +35,6 @@ __all__ = [
     "EtcWorkload",
     "ParamSpec",
     "WorkloadDefinition",
-    "builder_by_name",
     "find_workload",
     "register_workload",
     "registered_workloads",

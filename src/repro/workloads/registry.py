@@ -1,28 +1,33 @@
 """Workload registry: named workload definitions with parameter schemas.
 
 Experiment specs are *data* (dicts, JSON, database rows), so they
-cannot hold a builder callable directly -- and multiprocessing workers
-need to reconstruct the builder on the far side of a pickle boundary.
+cannot hold builder callables directly -- and multiprocessing workers
+need to reconstruct a testbed on the far side of a pickle boundary.
 The registry gives every workload a stable string name plus a **typed
-parameter schema**: a :class:`WorkloadDefinition` pairs the testbed
-builder with the :class:`ParamSpec`s of its extra knobs (e.g. the
-synthetic workload's ``added_delay_us``), its load-generator identity
-and its default/paper load points.
+parameter schema**: a :class:`WorkloadDefinition` pairs the
+workload's parts -- server-group service factory, load-generator
+builder, request factory -- with the :class:`ParamSpec`s of its extra
+knobs (e.g. the synthetic workload's ``added_delay_us``), its
+load-generator identity and its default/paper load points.
 
 This is the plugin protocol new workloads implement::
 
     register_workload(WorkloadDefinition(
         name="myservice",
-        builder=_myservice_testbed,
+        make_service=_myservice_service,
+        make_generator=build_mutilate,
+        make_request_factory=_myservice_request_factory,
         params=(ParamSpec("fanout", int, 4, minimum=1),),
         default_qps=1_000.0,
         default_num_requests=1_000,
     ))
 
-Anything registered this way is addressable from the whole stack:
-:class:`repro.api.ExperimentPlan` validates parameters against the
-schema at construction, campaigns expand into plans over it, and the
-CLI lists it.
+:meth:`WorkloadDefinition.build_testbed` is the one testbed assembly:
+it deploys the parts on a single server, a cluster or a service
+graph, so anything registered this way is addressable from the whole
+stack -- :class:`repro.api.ExperimentPlan` validates parameters
+against the schema at construction, campaigns expand into plans over
+it, and the CLI lists it.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -39,16 +45,38 @@ from typing import (
     Tuple,
 )
 
+from repro.config.knobs import HardwareConfig
+from repro.config.presets import SERVER_BASELINE
 from repro.core.testbed import Testbed
 from repro.errors import ExperimentError, SpecValidationError
-from repro.workloads.hdsearch import _hdsearch_testbed
-from repro.workloads.memcached import _memcached_testbed
-from repro.workloads.socialnetwork import _socialnetwork_testbed
-from repro.workloads.synthetic import _synthetic_testbed
+from repro.loadgen.hdsearch_client import build_hdsearch_client
+from repro.loadgen.interarrival import arrival_process
+from repro.loadgen.mutilate import build_mutilate
+from repro.loadgen.wrk2 import build_wrk2
+from repro.parameters import DEFAULT_PARAMETERS, SkylakeParameters
+from repro.sim.kernel import make_simulator
+from repro.sim.random import RandomStreams
+from repro.workloads.common import server_env_scale
+from repro.workloads.hdsearch import (
+    _hdsearch_request_factory,
+    _hdsearch_service,
+)
+from repro.workloads.memcached import (
+    _memcached_request_factory,
+    _memcached_service,
+)
+from repro.workloads.socialnetwork import (
+    _socialnetwork_request_factory,
+    _socialnetwork_service,
+)
+from repro.workloads.synthetic import (
+    _synthetic_request_factory,
+    _synthetic_service,
+)
 
-#: A testbed builder: ``builder(seed=..., client_config=...,
-#: server_config=..., qps=..., num_requests=..., **extra) -> Testbed``.
-TestbedBuilder = Callable[..., Testbed]
+if TYPE_CHECKING:
+    from repro.cluster.spec import ClusterSpec
+    from repro.graph.spec import ServiceGraphSpec
 
 #: The paper's load sweeps, per workload (Section IV-B).
 DEFAULT_QPS_SWEEPS: Dict[str, Tuple[float, ...]] = {
@@ -131,24 +159,34 @@ UNIVERSAL_BUILDER_PARAMS: Tuple[ParamSpec, ...] = (
 
 @dataclass(frozen=True)
 class WorkloadDefinition:
-    """One registered workload: builder, schema, defaults.
+    """One registered workload: its parts, schema and defaults.
 
     Attributes:
         name: stable workload name, e.g. ``"memcached"``.
-        builder: the testbed factory (called with the universal
-            keywords plus any schema parameters).
+        make_service: ``(sim, streams, server_config, params, *,
+            env_scale, name=..., stream_prefix=..., **params) ->
+            service`` -- builds one server group (a station or a
+            tiered service).  ``stream_prefix`` namespaces its random
+            streams, so cluster nodes and graph tiers draw
+            independently; the defaults are the single-server
+            testbed's name and streams.
+        make_generator: the load-generator builder
+            (``build_mutilate``-shaped).
+        make_request_factory: ``(streams) -> (index -> Request)``.
         params: schema of the workload-specific parameters.
         description: one-line summary for listings.
-        generator: identity of the load generator the builder wires
-            in (``repro plan`` and :class:`~repro.api.LoadSpec`'s
+        generator: identity of the load generator ``make_generator``
+            builds (``repro plan`` and :class:`~repro.api.LoadSpec`'s
             ``generator`` field validate against it).
-        default_qps: builder's default offered load.
-        default_num_requests: builder's default requests per run.
+        default_qps: default offered load.
+        default_num_requests: default requests per run.
         qps_sweep: the paper's load sweep for this workload.
     """
 
     name: str
-    builder: TestbedBuilder
+    make_service: Callable[..., Any]
+    make_generator: Callable[..., Any]
+    make_request_factory: Callable[[RandomStreams], Callable[[int], Any]]
     params: Tuple[ParamSpec, ...] = ()
     description: str = ""
     generator: str = "default"
@@ -199,17 +237,91 @@ class WorkloadDefinition:
             out[key] = spec.validate(self.name, value)
         return out
 
-    def build_testbed(self, seed: int, *, client_config: Any,
-                      server_config: Any, qps: float,
-                      num_requests: int, **params: Any) -> Testbed:
-        """Invoke the builder with the universal keywords + *params*."""
-        return self.builder(
-            seed=seed,
-            client_config=client_config,
-            server_config=server_config,
-            qps=qps,
-            num_requests=num_requests,
-            **params)
+    def build_testbed(self, seed: int, *,
+                      client_config: HardwareConfig,
+                      server_config: HardwareConfig = SERVER_BASELINE,
+                      qps: Optional[float] = None,
+                      num_requests: Optional[int] = None,
+                      cluster: Optional[ClusterSpec] = None,
+                      graph: Optional[ServiceGraphSpec] = None,
+                      warmup_fraction: float = 0.1,
+                      params: SkylakeParameters = DEFAULT_PARAMETERS,
+                      obs: Any = None,
+                      engine: Optional[str] = None,
+                      arrival: Any = None,
+                      **workload_params: Any) -> Testbed:
+        """Assemble one single-use testbed from this workload's parts.
+
+        The client, generator and random streams are wired the same
+        way for every topology; only the service side differs.
+
+        Args:
+            seed: root seed; every stochastic component derives
+                from it.
+            client_config: client hardware configuration.
+            server_config: hardware configuration of every server
+                node.
+            qps: offered load at the service's entry (default:
+                ``default_qps``).
+            num_requests: requests per run (default:
+                ``default_num_requests``).
+            cluster: optional :class:`~repro.cluster.spec.ClusterSpec`;
+                anything larger than one server deploys the
+                load-balanced / sharded server groups.
+            graph: optional :class:`~repro.graph.spec.ServiceGraphSpec`
+                (takes precedence over *cluster*).
+            warmup_fraction: leading samples to discard.
+            params: machine timing constants.
+            obs: optional :class:`~repro.obs.Observability` context,
+                installed on the simulator before any component
+                builds so every hook sees it.
+            engine: event-loop engine name (``None`` keeps the
+                reference loop; ``"vectorized"`` selects the
+                bit-identical batch-dequeue kernel).
+            arrival: optional arrival-shape spec (or dict / shape
+                name); ``None`` keeps the stock Poisson process.
+            **workload_params: workload-specific parameters (e.g. the
+                synthetic workload's ``added_delay_us``), passed to
+                every ``make_service`` call.
+        """
+        if qps is None:
+            qps = self.default_qps
+        if num_requests is None:
+            num_requests = self.default_num_requests
+        sim = make_simulator(engine)
+        if obs is not None:
+            obs.install(sim)
+        streams = RandomStreams(seed)
+        service: Any
+        # Deferred imports: the cluster and graph assembly modules
+        # import this package's helpers.
+        if graph is not None:
+            from repro.graph.testbed import build_service_graph
+            service = build_service_graph(
+                self, sim, streams, server_config, params, graph,
+                **workload_params)
+        elif cluster is not None and not cluster.is_single_server:
+            from repro.cluster.testbed import build_cluster_service
+            service = build_cluster_service(
+                self, sim, streams, server_config, params, cluster,
+                **workload_params)
+        else:
+            service = self.make_service(
+                sim, streams, server_config, params,
+                env_scale=server_env_scale(streams, params),
+                **workload_params)
+        generator = self.make_generator(
+            sim, streams, client_config, service, qps, num_requests,
+            request_factory=self.make_request_factory(streams),
+            warmup_fraction=warmup_fraction,
+            params=params,
+            interarrival=arrival_process(arrival, qps),
+        )
+        return Testbed(
+            sim, streams, generator, service,
+            workload=self.name, qps=qps,
+            client_config=client_config, server_config=server_config,
+        )
 
 
 _WORKLOADS: Dict[str, WorkloadDefinition] = {}
@@ -269,19 +381,12 @@ def registered_workloads() -> Sequence[str]:
     return tuple(sorted(_WORKLOADS))
 
 
-def builder_by_name(name: str) -> TestbedBuilder:
-    """Resolve a workload name to its testbed builder.
-
-    Raises:
-        ExperimentError: if no workload is registered under *name*.
-    """
-    return workload_by_name(name).builder
-
-
 # The paper's four workloads.
 register_workload(WorkloadDefinition(
     name="memcached",
-    builder=_memcached_testbed,
+    make_service=_memcached_service,
+    make_generator=build_mutilate,
+    make_request_factory=_memcached_request_factory,
     description="Memcached + Mutilate replaying Facebook ETC "
                 "(Section IV-B)",
     generator="mutilate",
@@ -291,7 +396,9 @@ register_workload(WorkloadDefinition(
 ))
 register_workload(WorkloadDefinition(
     name="hdsearch",
-    builder=_hdsearch_testbed,
+    make_service=_hdsearch_service,
+    make_generator=build_hdsearch_client,
+    make_request_factory=_hdsearch_request_factory,
     description="MicroSuite HDSearch: 3-tier image similarity over "
                 "a real LSH index",
     generator="hdsearch-client",
@@ -301,7 +408,9 @@ register_workload(WorkloadDefinition(
 ))
 register_workload(WorkloadDefinition(
     name="socialnetwork",
-    builder=_socialnetwork_testbed,
+    make_service=_socialnetwork_service,
+    make_generator=build_wrk2,
+    make_request_factory=_socialnetwork_request_factory,
     description="DeathStarBench Social Network on a Reed98-scale "
                 "social graph",
     generator="wrk2",
@@ -311,7 +420,9 @@ register_workload(WorkloadDefinition(
 ))
 register_workload(WorkloadDefinition(
     name="synthetic",
-    builder=_synthetic_testbed,
+    make_service=_synthetic_service,
+    make_generator=build_mutilate,
+    make_request_factory=_synthetic_request_factory,
     params=(
         ParamSpec("added_delay_us", float, 0.0,
                   "busy-wait service-time extension (Fig. 7)",

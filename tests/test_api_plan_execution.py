@@ -1,9 +1,11 @@
 """Execution parity for the plan layer.
 
-Golden-value tests prove plan-built memcached/hdsearch/synthetic runs
-are bit-identical to calling each workload's registered builder
-directly at seed 1234.
+Golden-value tests prove plan-built runs of every golden workload
+are bit-identical to calling each workload's registered
+``build_testbed`` directly at seed 1234.
 """
+
+import dataclasses
 
 import pytest
 
@@ -40,10 +42,10 @@ def test_plan_run_matches_golden_values(workload):
 
 @pytest.mark.parametrize("workload", sorted(GOLDEN))
 def test_plan_testbed_matches_legacy_builder(workload):
-    """plan.testbed(seed) == the registered builder(seed, ...), bit
-    for bit."""
+    """plan.testbed(seed) == the registered build_testbed(seed, ...),
+    bit for bit."""
     qps, num_requests = GOLDEN[workload][:2]
-    legacy = workload_by_name(workload).builder(
+    legacy = workload_by_name(workload).build_testbed(
         seed=GOLDEN_SEED, client_config=LP_CLIENT,
         server_config=SERVER_BASELINE, qps=qps,
         num_requests=num_requests).run()
@@ -126,14 +128,13 @@ class TestCampaignExtraValidation:
         as ints."""
         from repro.workloads.registry import (
             ParamSpec,
-            WorkloadDefinition,
             register_workload,
             workload_by_name,
         )
 
-        register_workload(WorkloadDefinition(
+        register_workload(dataclasses.replace(
+            workload_by_name("memcached"),
             name="int-param-test",
-            builder=workload_by_name("memcached").builder,
             params=(ParamSpec("fanout", int, 4, minimum=1),),
         ), replace=True)
         spec = CampaignSpec(**self.base(

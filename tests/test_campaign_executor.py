@@ -1,6 +1,7 @@
 """Tests for campaign execution: parallelism, memoization, resume,
 failure isolation."""
 
+import dataclasses
 import multiprocessing
 
 import pytest
@@ -19,8 +20,6 @@ from repro.config.presets import (
 )
 from repro.errors import ExperimentError
 from repro.workloads.registry import (
-    WorkloadDefinition,
-    builder_by_name,
     register_workload,
     registered_workloads,
     workload_by_name,
@@ -54,12 +53,11 @@ class TestRegistry:
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ExperimentError):
-            builder_by_name("quake3")
+            workload_by_name("quake3")
 
     def test_duplicate_registration_rejected(self):
         original = workload_by_name("memcached")
-        replacement = WorkloadDefinition(
-            name="memcached", builder=builder_by_name("memcached"))
+        replacement = dataclasses.replace(original)
         try:
             with pytest.raises(ExperimentError):
                 register_workload(replacement)
@@ -172,24 +170,26 @@ class TestMemoization:
             assert store.count() == spec.size()
 
 
-def _broken_builder(seed, client_config, server_config=None, qps=0.0,
-                    num_requests=0, **extra):
+def _broken_generator(sim, streams, client_config, service, qps,
+                      num_requests, **extra):
     raise RuntimeError(f"injected failure at qps={qps:g}")
 
 
-def _flaky_builder(seed, client_config, server_config=None,
-                   qps=0.0, num_requests=0, **extra):
+def _flaky_generator(sim, streams, client_config, service, qps,
+                     num_requests, **extra):
     if qps >= 50_000:
         raise RuntimeError("injected failure above 50K")
-    return builder_by_name("memcached")(
-        seed, client_config=client_config, server_config=server_config,
-        qps=qps, num_requests=num_requests, **extra)
+    return workload_by_name("memcached").make_generator(
+        sim, streams, client_config, service, qps, num_requests,
+        **extra)
 
 
-register_workload(WorkloadDefinition(
-    name="broken-test", builder=_broken_builder), replace=True)
-register_workload(WorkloadDefinition(
-    name="flaky-test", builder=_flaky_builder), replace=True)
+register_workload(dataclasses.replace(
+    workload_by_name("memcached"), name="broken-test",
+    make_generator=_broken_generator), replace=True)
+register_workload(dataclasses.replace(
+    workload_by_name("memcached"), name="flaky-test",
+    make_generator=_flaky_generator), replace=True)
 
 
 class TestFailureIsolation:

@@ -1,12 +1,13 @@
 """End-to-end tests for the ``repro campaign`` CLI."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.campaign.store import ResultStore
 from repro.cli import main as cli_main
-from repro.workloads.registry import WorkloadDefinition, register_workload
+from repro.workloads.registry import register_workload, workload_by_name
 
 SPEC = {
     "name": "cli-campaign",
@@ -22,13 +23,14 @@ SPEC = {
 }
 
 
-def _broken_builder(seed, client_config, server_config=None, qps=0.0,
-                    num_requests=0, **extra):
+def _broken_generator(sim, streams, client_config, service, qps,
+                      num_requests, **extra):
     raise RuntimeError(f"injected failure at qps={qps:g}")
 
 
-register_workload(WorkloadDefinition(
-    name="broken-cli-test", builder=_broken_builder), replace=True)
+register_workload(dataclasses.replace(
+    workload_by_name("memcached"), name="broken-cli-test",
+    make_generator=_broken_generator), replace=True)
 
 
 @pytest.fixture

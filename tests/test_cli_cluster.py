@@ -49,13 +49,20 @@ class TestClusterCommand:
         assert "unknown workload" in err
 
     def test_invalid_topology_fails_cleanly(self, capsys):
-        exit_code = cli_main([
-            "cluster", "--workload", "memcached",
-            "--shards", "2", "--fanout", "3",
-            "--runs", "1", "--requests", "30"])
-        err = capsys.readouterr().err
-        assert exit_code == 1
-        assert "fanout" in err
+        # flags -> the word the error must name.  Without --qps the
+        # default load derives from the topology, so a bad --nodes
+        # must be reported before that derivation.
+        cases = [
+            (["--shards", "2", "--fanout", "3"], "fanout"),
+            (["--nodes", "0"], "nodes"),
+        ]
+        for flags, named in cases:
+            exit_code = cli_main([
+                "cluster", "--workload", "memcached", *flags,
+                "--runs", "1", "--requests", "30"])
+            err = capsys.readouterr().err
+            assert exit_code == 1, flags
+            assert named in err, (flags, err)
 
     def test_deterministic_across_invocations(self, capsys):
         argv = ["cluster", "--workload", "memcached", "--nodes", "2",

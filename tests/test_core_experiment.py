@@ -9,7 +9,7 @@ from repro.workloads.registry import workload_by_name
 
 
 def builder(seed):
-    return workload_by_name("memcached").builder(
+    return workload_by_name("memcached").build_testbed(
         seed=seed, client_config=HP_CLIENT, qps=50_000,
         num_requests=120)
 

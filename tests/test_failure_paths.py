@@ -25,7 +25,7 @@ class TestTestbedFailures:
         """If a request goes missing (lost packet, wiring bug), run()
         must raise rather than return statistics over a partial
         sample."""
-        testbed = workload_by_name("memcached").builder(
+        testbed = workload_by_name("memcached").build_testbed(
             seed=1, client_config=HP_CLIENT, qps=50_000,
             num_requests=50)
         drop_one_request(testbed)
@@ -33,7 +33,7 @@ class TestTestbedFailures:
             testbed.run()
 
     def test_single_use_enforced_even_after_failure(self):
-        testbed = workload_by_name("memcached").builder(
+        testbed = workload_by_name("memcached").build_testbed(
             seed=1, client_config=HP_CLIENT, qps=50_000,
             num_requests=50)
         drop_one_request(testbed)

@@ -16,11 +16,11 @@ changes meaning at that point.
 
 import pytest
 
-from repro.cluster import ClusterSpec, build_cluster_testbed
+from repro.cluster import ClusterSpec
 from repro.config.presets import LP_CLIENT, SERVER_BASELINE
-from repro.graph import build_graph_testbed, graph_preset
+from repro.graph import graph_preset
 from repro.loadgen.interarrival import ArrivalSpec
-from repro.workloads.registry import builder_by_name
+from repro.workloads.registry import workload_by_name
 
 #: workload -> (qps, num_requests, avg_us, p99_us, true_avg_us,
 #:              true_p99_us, measured_requests); root seed 1234.
@@ -52,7 +52,7 @@ GOLDEN_SEED = 1234
 def test_golden_run_metrics_bit_identical(workload, engine):
     qps, num_requests, avg, p99, true_avg, true_p99, requests = \
         GOLDEN[workload]
-    testbed = builder_by_name(workload)(
+    testbed = workload_by_name(workload).build_testbed(
         seed=GOLDEN_SEED,
         client_config=LP_CLIENT,
         server_config=SERVER_BASELINE,
@@ -73,7 +73,7 @@ def test_golden_run_metrics_bit_identical(workload, engine):
 def test_golden_runs_are_reproducible_within_session(workload):
     """Two fresh testbeds with the same seed agree with each other."""
     qps, num_requests = GOLDEN[workload][:2]
-    build = builder_by_name(workload)
+    build = workload_by_name(workload).build_testbed
 
     def run_once():
         return build(
@@ -114,8 +114,8 @@ CLUSTER_GOLDEN = {
 
 def _cluster_testbed(scenario, engine=None):
     workload, cluster, qps, num_requests = CLUSTER_GOLDEN[scenario][:4]
-    return build_cluster_testbed(
-        workload, seed=GOLDEN_SEED,
+    return workload_by_name(workload).build_testbed(
+        seed=GOLDEN_SEED,
         client_config=LP_CLIENT, server_config=SERVER_BASELINE,
         qps=qps, num_requests=num_requests, cluster=cluster,
         engine=engine)
@@ -174,8 +174,8 @@ GRAPH_GOLDEN = {
 def _graph_testbed(scenario, engine=None):
     workload, preset, arrival, qps, num_requests = \
         GRAPH_GOLDEN[scenario][:5]
-    return build_graph_testbed(
-        workload, seed=GOLDEN_SEED,
+    return workload_by_name(workload).build_testbed(
+        seed=GOLDEN_SEED,
         client_config=LP_CLIENT, server_config=SERVER_BASELINE,
         qps=qps, num_requests=num_requests,
         graph=graph_preset(preset), arrival=arrival, engine=engine)

@@ -3,10 +3,11 @@
 Unit-level semantics of :class:`~repro.graph.cache.CacheTier` and
 :class:`~repro.graph.resilience.ResilientDispatcher` against stub
 backends (hit/miss costs, bounded retry, hedged duplicates, the
-straggler drain contract), plus the assembled
-:func:`~repro.graph.testbed.build_graph_testbed` path end to end:
-per-tier counters harvested into ``RunMetrics.obs_metrics``, trace
-spans, and campaign execution over a graph condition.
+straggler drain contract), plus graph testbeds assembled by
+:meth:`~repro.workloads.registry.WorkloadDefinition.build_testbed`
+end to end: per-tier counters harvested into
+``RunMetrics.obs_metrics``, trace spans, and campaign execution over
+a graph condition.
 """
 
 import pytest

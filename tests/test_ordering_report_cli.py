@@ -48,7 +48,7 @@ class TestSchedule:
 
 class TestRunOrdered:
     def builders(self):
-        memcached = workload_by_name("memcached").builder
+        memcached = workload_by_name("memcached").build_testbed
         return {
             "LP": lambda seed: memcached(
                 seed, client_config=LP_CLIENT, qps=50_000,

@@ -40,7 +40,7 @@ from repro.sim.kernel import (
     validate_engine_name,
 )
 from repro.telemetry.columns import COLUMN_FIELDS
-from repro.workloads.registry import builder_by_name
+from repro.workloads.registry import workload_by_name
 
 WORKLOADS = ("hdsearch", "memcached", "socialnetwork", "synthetic")
 
@@ -200,7 +200,7 @@ class TestCancellationMidRun:
         reproduce the reference metrics bit-identically."""
         results = {}
         for engine in ENGINES:
-            testbed = builder_by_name("memcached")(
+            testbed = workload_by_name("memcached").build_testbed(
                 seed=1234, client_config=LP_CLIENT,
                 server_config=SERVER_BASELINE,
                 qps=50_000, num_requests=400, engine=engine)
@@ -228,7 +228,7 @@ class TestCancellationMidRun:
 # ---------------------------------------------------------------------------
 class TestTestbedDrain:
     def test_kernel_run_drains_generator(self):
-        testbed = builder_by_name("memcached")(
+        testbed = workload_by_name("memcached").build_testbed(
             seed=99, client_config=LP_CLIENT,
             server_config=SERVER_BASELINE,
             qps=50_000, num_requests=200, engine="vectorized")
@@ -240,7 +240,7 @@ class TestTestbedDrain:
         assert metrics.requests > 0
 
     def test_kernel_testbed_is_single_use(self):
-        testbed = builder_by_name("synthetic")(
+        testbed = workload_by_name("synthetic").build_testbed(
             seed=3, client_config=LP_CLIENT,
             server_config=SERVER_BASELINE,
             qps=10_000, num_requests=50, engine="vectorized")
@@ -251,7 +251,7 @@ class TestTestbedDrain:
     def test_heap_usable_after_kernel_run(self):
         """After the fused loop exits, the simulator must be a normal
         Simulator again: new events schedule and fire correctly."""
-        testbed = builder_by_name("memcached")(
+        testbed = workload_by_name("memcached").build_testbed(
             seed=7, client_config=LP_CLIENT,
             server_config=SERVER_BASELINE,
             qps=50_000, num_requests=100, engine="vectorized")
@@ -292,7 +292,7 @@ def test_telemetry_columns_bit_identical(workload, qps):
     digests = {}
     stream_stats = {}
     for engine in ENGINES:
-        testbed = builder_by_name(workload)(
+        testbed = workload_by_name(workload).build_testbed(
             seed=42, client_config=LP_CLIENT,
             server_config=SERVER_BASELINE,
             qps=qps, num_requests=120, engine=engine)

@@ -1,12 +1,15 @@
-"""Tests for the four workload testbed builders."""
+"""Tests for the four workload testbeds and the parts protocol."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.api import experiment
 from repro.config.presets import HP_CLIENT, LP_CLIENT
 from repro.errors import ConfigurationError, ExperimentError
 from repro.units import MS
-from repro.workloads.registry import workload_by_name
+from repro.workloads.registry import register_workload, workload_by_name
 from repro.workloads.socialnetwork import (
     social_graph,
     timeline_length_distribution,
@@ -15,8 +18,8 @@ from repro.workloads.synthetic import DelayedService
 
 
 def build(workload, **kwargs):
-    """One testbed from *workload*'s registered builder."""
-    return workload_by_name(workload).builder(**kwargs)
+    """One testbed from *workload*'s registered parts."""
+    return workload_by_name(workload).build_testbed(**kwargs)
 
 
 class TestMemcachedTestbed:
@@ -144,3 +147,33 @@ class TestSyntheticTestbed:
     def test_delayed_service_mean(self):
         assert DelayedService(100.0).mean_service_us() == pytest.approx(
             110.0)
+
+
+class TestPartsPlugin:
+    """A workload registered only as its parts deploys on every
+    topology: the cluster and graph assembly need nothing beyond the
+    :class:`~repro.workloads.registry.WorkloadDefinition`."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def plugin(self):
+        register_workload(dataclasses.replace(
+            workload_by_name("synthetic"), name="parts-plugin"),
+            replace=True)
+
+    @pytest.mark.parametrize("topology,stations", [
+        (lambda b: b, 0),
+        (lambda b: b.cluster(nodes=2), 2),
+        (lambda b: b.graph("memcached-cached"), 10),
+    ], ids=["single", "cluster", "graph"])
+    def test_plugin_runs_on_every_topology(self, topology, stations):
+        plan = topology(
+            experiment("parts-plugin")
+            .client(LP_CLIENT)
+            .load(qps=10_000, num_requests=100)
+            .policy(runs=1, base_seed=3)).build()
+        testbed = plan.testbed()
+        assert testbed.workload == "parts-plugin"
+        metrics = plan.run().runs[0]
+        # Every post-warmup request came back (10% warmup trimmed).
+        assert metrics.requests == 90
+        assert len(metrics.node_utilizations) == stations
