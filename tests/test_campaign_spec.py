@@ -1,5 +1,6 @@
 """Tests for campaign specs: expansion, hashing, dict/JSON loading."""
 
+import hashlib
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from repro.campaign.serialize import (
     run_metrics_from_dict,
     run_metrics_to_dict,
 )
+from repro.campaign.presets import campaign_by_name, preset_names
 from repro.campaign.spec import CampaignSpec, ConditionSpec, cell_seed
 from repro.config.presets import (
     HP_CLIENT,
@@ -290,3 +292,79 @@ def test_cell_seed_scheme_is_pinned():
     assert cell_seed(0, "LP", "SMToff", 10_000) == (key % 1_000_003) * 10_000
     assert cell_seed(7, "LP", "SMToff", 10_000) == (
         7 + (key % 1_000_003) * 10_000)
+
+
+#: Every preset's campaign identity, captured at commit 2fd9712
+#: (before campaigns became template plans).  Per preset: (campaign
+#: ``content_hash()``, sha256 of the newline-joined condition hashes)
+#: as built, then the same pair under :data:`IDENTITY_OVERRIDES`.
+IDENTITY_OVERRIDES = dict(runs=3, num_requests=500, base_seed=7,
+                          engine="vectorized", qps_list=(1000.0, 2000.0))
+PRESET_IDENTITY = {
+    "hdsearch-c1e": (
+        ("dc37491301e0f67e476ee8aaa90dd7918915d0ce34157ccb3cc9832d4919cfc4",
+         "2727352a887b0c60d76a106263544d49acb96b0de975d97044a1869b83f12318"),
+        ("052ab8189e8e51ebd78fbd2bae49d89a347043203b6face2c644e8f92898c56c",
+         "0fe1d3ea740c71abda3ebcd9ca486d6386a3222e36c75b628af0e548f27068be")),
+    "hdsearch-cluster": (
+        ("b1e50818ee247e772bd85031183a307e73603afac5f51759d038c7ae098890d1",
+         "a6653341d3c89103ad81cf58c387cdefc89a2f20b60af80c0f9bddbb2924f7df"),
+        ("9f0378d227d2d3ea674703c8efc69202b078843fd45906e11d5fdee6eaefd0db",
+         "6a51ca0f33c485a328a3d5ee17f17463c03f3671741721025faf95727c8fe278")),
+    "hdsearch-graph": (
+        ("721833c265dcb08dd6eac3b61901fa622de6011e56a49f28326f0a7e02c1fc48",
+         "e6c35a4252e2c346c4aba70d945a85499767bb3e405526fe4e7d653bf3a43100"),
+        ("a8a62920cc15312ad9cb2887275d971737410b77870346558639af910f8561e2",
+         "f1a5d65daebf78e05d93c823b64ab83c8211160550836f94d40c7d3a271842d9")),
+    "hdsearch-smt": (
+        ("20777029a11f779eae56be46b8a3cabd04456108da82ff392256c963b0577a5d",
+         "db854e6dd4d1a4ab25ff114856d0f98b3d7d6036eb424f4dd417b613ebb4b80f"),
+        ("549b81168d531b3db6c7f528c57eb3384014e874266a25d78b012bd7e71499dd",
+         "5e46063a1d4555bbb38aa7861af9c11225ef94e19c93d3addbe4e13f9f410cc7")),
+    "memcached-c1e": (
+        ("29a322d7c306fb613b9ff7a1b9b66aaebcbe81ddf266142a7e53b1448beef69f",
+         "bfcabcd1ff100e8a8e49428c8029e092c30e3bc6bc0d9a6ef10217d01f9a6fe4"),
+        ("d6636422541577dcce95079848a525d43f37b289048f8d9261974b34db6e7133",
+         "8cbb2fcf3c2234375ab7ddc848b953e51fc1d5cec8f637c7e9dd8bcb4dc0ad85")),
+    "memcached-cached": (
+        ("8e993a777ac3ab5a470a910bdcd570907034963af758438e7ceffd2683dbceb7",
+         "5c25aec73cce4c11e32b4e22c9258e359a8cc16883b49b01636ce5e80f45ff41"),
+        ("fe443639bb398cb6276c4a9782a03a3b7efc98e3cb8a136dac4e0b463efa74d0",
+         "f99c083cf32905cb2340cccccb04e20404b76e9e4ef42d23ebee22b91620ed51")),
+    "memcached-cluster": (
+        ("8ef4de944ee5a994eef7aa25fbd88cd02a194b48a97d88e3df6a446ef4020222",
+         "12d850c58abd5bfc3544349b82af4e87ef6fbf714a09a28bcc553ac43c800e6c"),
+        ("76c7ad0801d11573875b7e3bebc86e2672c6475c54d370ab35a2e7caa790b643",
+         "ef6f6ed776560fb62088211c6f093ce2b5839e497720428a34d9f383e69e7adc")),
+    "memcached-smt": (
+        ("e5ab7fde42f9b5a11df455ee6bee31f6b55cf66165093899481b41cd8e2be622",
+         "d9337e91cc4e0a04ecb6ac11fbd62330d06ffcff4291d9d8260d26c9ff49ac50"),
+        ("63405efc69cfe2a149ab39b495d89ebd58f8bae71da21733a68ba2206a2f76e1",
+         "c2e9c169e41c430ac65d354cdb6e87f91025be09b6f4bf70985a39a97962d784")),
+    "socialnetwork": (
+        ("f78fa5ef09a15adc16131c109dc23fcabefa6bb2b82ac3ce3377f4c198d23f92",
+         "d959db4007376eb2db6de4bb2caef1f83f16646a3101e5686e6565d189603c46"),
+        ("da45decf839864dab51fb4bd3ed147ec12c3812802493648c3a3f6bdab9ca89d",
+         "aae832e8ba8d0e6bcec0c9db7c782c3ab0bde7d604a4787234c52822a1539921")),
+    "synthetic": (
+        ("12c2469650c1fa86dc23ce7a37ad0fa5a53d2638ea633f93546810db818816dc",
+         "05b917324ca3ba1c9a63f38f37da7d6508d76756ff614a65dd70ba0a53c17e84"),
+        ("53234f1fbdf7b82abb74ae5978ae3d7bb2f096290e27b4aedfd411ed6e6845e1",
+         "11f9fbbf7eb46bfb4716cf870f8c577f3fe10b1ea13754ada6c668ec98884437")),
+}
+
+
+def _campaign_identity(spec):
+    joined = "\n".join(c.content_hash() for c in spec.expand())
+    return (spec.content_hash(),
+            hashlib.sha256(joined.encode()).hexdigest())
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_preset_identity_is_byte_stable(name):
+    """A preset's campaign hash and every condition store key are a
+    compatibility contract: a drift orphans stored results."""
+    spec = campaign_by_name(name)
+    assert (_campaign_identity(spec),
+            _campaign_identity(spec.with_overrides(
+                **IDENTITY_OVERRIDES))) == PRESET_IDENTITY[name]
