@@ -17,6 +17,7 @@ import os
 import time
 
 from benchmarks.conftest import BENCH_REQUESTS, BENCH_RUNS, run_once
+from repro.api import experiment
 from repro.campaign.executor import execute_campaign
 from repro.campaign.serialize import experiment_result_to_dict
 from repro.campaign.spec import CampaignSpec
@@ -29,12 +30,11 @@ QPS_LIST = (10_000, 100_000, 500_000)
 def build_spec():
     return CampaignSpec(
         name="bench-campaign",
-        workload="memcached",
+        plan=(experiment("memcached").load(num_requests=BENCH_REQUESTS)
+              .policy(runs=BENCH_RUNS).build()),
         conditions={"SMToff": server_with_smt(False),
                     "SMTon": server_with_smt(True)},
         qps_list=QPS_LIST,
-        runs=BENCH_RUNS,
-        num_requests=BENCH_REQUESTS,
     )
 
 
@@ -93,11 +93,10 @@ def test_store_put_many_batching(tmp_path):
     """
     conditions = CampaignSpec(
         name="bench-store",
-        workload="memcached",
+        plan=(experiment("memcached").load(num_requests=40)
+              .policy(runs=1).build()),
         conditions={"SMToff": server_with_smt(False)},
         qps_list=tuple(10_000.0 + 1_000.0 * i for i in range(96)),
-        runs=1,
-        num_requests=40,
     ).expand()
     result = conditions[0].to_plan().run()
     result_dict = experiment_result_to_dict(result)

@@ -25,6 +25,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.api.builder import experiment
+from repro.api.specs import ExperimentPlan
 from repro.campaign.executor import execute_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.cluster.spec import LB_POLICIES, ClusterSpec
@@ -160,25 +162,31 @@ def _metric_value(result: ExperimentResult, metric: str) -> float:
     return float(np.median(_metric_samples(result, metric)))
 
 
+def _template(workload: str, runs: int, num_requests: int,
+              base_seed: int, **params: Any) -> ExperimentPlan:
+    """A study's template plan; the campaign axes own qps and hardware."""
+    return (experiment(workload, **params)
+            .load(num_requests=num_requests)
+            .policy(runs=runs, base_seed=base_seed)
+            .build())
+
+
 def _run_grid(workload: str,
               conditions: Dict[str, HardwareConfig],
               qps_list: Sequence[float],
               runs: int, num_requests: int, base_seed: int,
               clients: Optional[Dict[str, HardwareConfig]] = None,
-              **extra) -> StudyGrid:
+              **params) -> StudyGrid:
     """Run one study grid through the shared campaign path (inline)."""
     from repro.campaign.report import grid_from_outcome
 
     spec = CampaignSpec(
         name=f"{workload}-study",
-        workload=workload,
+        plan=_template(workload, runs, num_requests, base_seed,
+                       **params),
         conditions=dict(conditions),
-        qps_list=tuple(float(q) for q in qps_list),
+        qps_list=qps_list,
         clients=dict(clients or CLIENTS),
-        runs=runs,
-        num_requests=num_requests,
-        base_seed=base_seed,
-        extra=dict(extra),
     )
     # fail_fast restores the pre-campaign study behavior: a broken
     # cell raises its original exception immediately instead of
@@ -315,21 +323,18 @@ def cluster_study(workload: str = "memcached",
     policies = tuple(str(p) for p in policies)
     grid = ClusterStudyGrid(
         workload=workload, nodes_list=nodes_list, policies=policies)
+    template = _template(workload, runs, num_requests, base_seed)
     for nodes in nodes_list:
         scaled_qps = tuple(float(q) * nodes for q in qps_list)
         for policy in policies:
             spec = CampaignSpec(
                 name=f"{workload}-cluster-n{nodes}-{policy}",
-                workload=workload,
+                plan=template.with_cluster(ClusterSpec(
+                    nodes=nodes, lb_policy=policy, shards=shards,
+                    fanout=fanout, quorum=quorum)),
                 conditions={"baseline": SERVER_BASELINE},
                 qps_list=scaled_qps,
                 clients=dict(clients),
-                runs=runs,
-                num_requests=num_requests,
-                base_seed=base_seed,
-                cluster=ClusterSpec(
-                    nodes=nodes, lb_policy=policy, shards=shards,
-                    fanout=fanout, quorum=quorum),
             )
             outcome = execute_campaign(
                 spec, max_workers=1, fail_fast=True)
@@ -450,7 +455,7 @@ def graph_study(workload: str = "memcached",
     the same conditions and land under the same store keys.
     """
     from repro.campaign.report import grid_from_outcome
-    from repro.graph.presets import graph_preset, graph_preset_names
+    from repro.graph.presets import graph_preset_names
 
     if qps_list is None:
         from repro.workloads.registry import workload_by_name
@@ -467,18 +472,15 @@ def graph_study(workload: str = "memcached",
     grid = GraphStudyGrid(
         workload=workload, topologies=topologies,
         qps_list=tuple(float(q) for q in qps_list))
+    template = _template(workload, runs, num_requests,
+                         base_seed).with_load(arrival=arrival)
     for topology in topologies:
         spec = CampaignSpec(
             name=f"{workload}-graph-{topology}",
-            workload=workload,
+            plan=template.with_graph(topology),
             conditions={"baseline": SERVER_BASELINE},
-            qps_list=tuple(float(q) for q in qps_list),
+            qps_list=qps_list,
             clients=dict(clients),
-            runs=runs,
-            num_requests=num_requests,
-            base_seed=base_seed,
-            graph=graph_preset(topology),
-            arrival=arrival,
         )
         outcome = execute_campaign(spec, max_workers=1, fail_fast=True)
         study = grid_from_outcome(spec, outcome)

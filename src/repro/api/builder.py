@@ -18,26 +18,27 @@ serialization or sweeping.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Mapping, Optional, Union
 
 from repro.api.specs import (
     ExperimentPlan,
     HardwareSpec,
     LoadSpec,
-    RunPolicy,
     WorkloadSpec,
-    _as_config,
 )
-from repro.cluster.spec import ClusterSpec, as_cluster_spec
-from repro.errors import SpecValidationError
+from repro.cluster.spec import ClusterSpec
 from repro.config.knobs import HardwareConfig
 from repro.config.presets import LP_CLIENT
 from repro.core.experiment import ExperimentResult
-from repro.graph.spec import ServiceGraphSpec, as_graph_spec
-from repro.loadgen.interarrival import ArrivalSpec
+from repro.graph.spec import ServiceGraphSpec
 
 __all__ = ["PlanBuilder", "experiment"]
+
+
+def _kept(changes: Mapping[str, Any]) -> dict:
+    """The changes that replace a field: ``None`` means "keep"."""
+    return {name: value for name, value in changes.items()
+            if value is not None}
 
 
 class PlanBuilder:
@@ -45,88 +46,46 @@ class PlanBuilder:
 
     Defaults: LP client (the paper's "untuned experimenter"
     baseline), server baseline, the workload's own default load and
-    request count, and the paper's 50-run policy.
+    request count, and the paper's 50-run policy.  Each step is the
+    matching :class:`ExperimentPlan` copy (``with_params``,
+    ``with_load``, ...), so a new plan field needs no builder edit.
     """
 
     def __init__(self, workload: str, **params: Any) -> None:
-        self._workload = WorkloadSpec.create(workload, **params)
-        definition = self._workload.definition
-        self._load = LoadSpec(
-            qps=definition.default_qps,
-            num_requests=definition.default_num_requests)
-        self._hardware = HardwareSpec(client=LP_CLIENT)
-        self._policy = RunPolicy()
-        self._cluster = ClusterSpec()
-        self._graph: Optional[ServiceGraphSpec] = None
+        spec = WorkloadSpec.create(workload, **params)
+        self._plan = ExperimentPlan(
+            workload=spec,
+            load=LoadSpec(
+                qps=spec.definition.default_qps,
+                num_requests=spec.definition.default_num_requests),
+            hardware=HardwareSpec(client=LP_CLIENT))
 
     # ------------------------------------------------------------------
     def params(self, **params: Any) -> "PlanBuilder":
         """Merge workload parameters (validated against the schema)."""
-        merged = {**self._workload.param_dict(), **params}
-        self._workload = WorkloadSpec.create(
-            self._workload.name, **merged)
+        self._plan = self._plan.with_params(**params)
         return self
 
     def client(self, config: Union[str, HardwareConfig],
                label: str = "") -> "PlanBuilder":
         """Set the client configuration (preset name or config)."""
-        resolved = _as_config(config, "client")
-        self._hardware = replace(
-            self._hardware, client=resolved,
-            client_label=label or resolved.name)
+        self._plan = self._plan.with_client(config, label)
         return self
 
     def server(self, config: Union[str, HardwareConfig],
                label: str = "") -> "PlanBuilder":
         """Set the server configuration (preset name or config)."""
-        resolved = _as_config(config, "server")
-        self._hardware = replace(
-            self._hardware, server=resolved,
-            server_label=label or resolved.name)
+        self._plan = self._plan.with_server(config, label)
         return self
 
-    def load(self, qps: Optional[float] = None,
-             num_requests: Optional[int] = None,
-             warmup_fraction: Optional[float] = None,
-             generator: Optional[str] = None,
-             arrival: Optional[Union[ArrivalSpec, str,
-                                     Mapping[str, Any]]] = None,
-             ) -> "PlanBuilder":
-        """Set load fields; omitted arguments keep their value."""
-        self._load = LoadSpec(
-            qps=self._load.qps if qps is None else qps,
-            num_requests=(self._load.num_requests
-                          if num_requests is None else num_requests),
-            warmup_fraction=(self._load.warmup_fraction
-                             if warmup_fraction is None
-                             else warmup_fraction),
-            generator=(self._load.generator
-                       if generator is None else generator),
-            arrival=(self._load.arrival
-                     if arrival is None else arrival))
+    def load(self, **changes: Any) -> "PlanBuilder":
+        """Set :class:`LoadSpec` fields; ``None`` keeps a value."""
+        self._plan = self._plan.with_load(**_kept(changes))
         return self
 
-    def policy(self, runs: Optional[int] = None,
-               base_seed: Optional[int] = None,
-               label: Optional[str] = None,
-               sink: Optional[str] = None,
-               trace: Optional[bool] = None,
-               metrics: Optional[bool] = None,
-               engine: Optional[str] = None,
-               workers: Optional[int] = None) -> "PlanBuilder":
-        """Set run-policy fields; omitted arguments keep their value."""
-        self._policy = RunPolicy(
-            runs=self._policy.runs if runs is None else runs,
-            base_seed=(self._policy.base_seed
-                       if base_seed is None else base_seed),
-            label=self._policy.label if label is None else label,
-            sink=self._policy.sink if sink is None else sink,
-            trace=self._policy.trace if trace is None else trace,
-            metrics=(self._policy.metrics
-                     if metrics is None else metrics),
-            engine=self._policy.engine if engine is None else engine,
-            workers=(self._policy.workers
-                     if workers is None else workers))
+    def policy(self, **changes: Any) -> "PlanBuilder":
+        """Set :class:`RunPolicy` fields; ``None`` keeps a value."""
+        self._plan = self._plan.with_policy(**_kept(changes))
         return self
 
     def cluster(self,
@@ -142,14 +101,8 @@ class PlanBuilder:
         arguments the current topology is kept unchanged (unlike
         ``ExperimentPlan.with_cluster()``, which resets).
         """
-        if spec is not None and fields:
-            raise SpecValidationError(
-                "pass either a cluster spec or keyword fields, "
-                "not both")
-        if spec is None:
-            spec = self._cluster.with_fields(**fields)
-        self._cluster = as_cluster_spec(spec)
-        self._graph = None
+        if spec is not None or fields:
+            self._plan = self._plan.with_cluster(spec, **fields)
         return self
 
     def graph(self,
@@ -165,24 +118,13 @@ class PlanBuilder:
         the cluster to single-server (each tier carries its own
         shape); calling with no argument clears the graph.
         """
-        if isinstance(spec, str):
-            from repro.graph.presets import graph_preset
-            spec = graph_preset(spec)
-        self._graph = as_graph_spec(spec)
-        if self._graph is not None:
-            self._cluster = ClusterSpec()
+        self._plan = self._plan.with_graph(spec)
         return self
 
     # ------------------------------------------------------------------
     def build(self) -> ExperimentPlan:
         """The frozen, validated plan."""
-        return ExperimentPlan(
-            workload=self._workload,
-            load=self._load,
-            hardware=self._hardware,
-            policy=self._policy,
-            cluster=self._cluster,
-            graph=self._graph)
+        return self._plan
 
     def run(self) -> ExperimentResult:
         """Build and execute in one step."""

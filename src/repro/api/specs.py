@@ -92,6 +92,16 @@ def _check_keys(data: Mapping[str, Any], allowed: Tuple[str, ...],
             f"valid keys: {', '.join(allowed)}")
 
 
+def _coerce(kind: type, value: Any, what: str) -> Any:
+    """``kind(value)``, or a :class:`SpecValidationError` naming the
+    field and the bad value (a spec file's typo is not a traceback)."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise SpecValidationError(
+            f"{what} must be {kind.__name__}, got {value!r}") from None
+
+
 def _as_config(value: Union[str, Mapping[str, Any], HardwareConfig],
                what: str) -> HardwareConfig:
     """Coerce a config, preset name, or dict into a HardwareConfig."""
@@ -177,8 +187,9 @@ class LoadSpec:
     arrival: Optional[ArrivalSpec] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qps", float(self.qps))
-        object.__setattr__(self, "num_requests", int(self.num_requests))
+        object.__setattr__(self, "qps", _coerce(float, self.qps, "qps"))
+        object.__setattr__(self, "num_requests", _coerce(
+            int, self.num_requests, "num_requests"))
         object.__setattr__(self, "generator", str(self.generator))
         object.__setattr__(self, "arrival",
                            as_arrival_spec(self.arrival))
@@ -189,7 +200,8 @@ class LoadSpec:
             raise SpecValidationError(
                 f"num_requests must be >= 1, got {self.num_requests!r}")
         if self.warmup_fraction is not None:
-            warmup = float(self.warmup_fraction)
+            warmup = _coerce(float, self.warmup_fraction,
+                             "warmup_fraction")
             if not 0.0 <= warmup < 1.0:
                 raise SpecValidationError(
                     f"warmup_fraction must be in [0, 1), got {warmup!r}")
@@ -314,8 +326,9 @@ class RunPolicy:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "runs", int(self.runs))
-        object.__setattr__(self, "base_seed", int(self.base_seed))
+        object.__setattr__(self, "runs", _coerce(int, self.runs, "runs"))
+        object.__setattr__(self, "base_seed",
+                           _coerce(int, self.base_seed, "base_seed"))
         object.__setattr__(self, "label", str(self.label))
         object.__setattr__(self, "sink",
                            validate_sink_name(self.sink))
@@ -323,7 +336,8 @@ class RunPolicy:
         object.__setattr__(self, "metrics", bool(self.metrics))
         object.__setattr__(self, "engine",
                            validate_engine_name(self.engine))
-        object.__setattr__(self, "workers", int(self.workers))
+        object.__setattr__(self, "workers",
+                           _coerce(int, self.workers, "workers"))
         if self.runs < 1:
             raise SpecValidationError(
                 f"runs must be >= 1, got {self.runs!r}")

@@ -4,16 +4,17 @@ The paper's methodology is many repetitions across a grid of
 conditions -- workloads x client/server knobs x QPS points x 50 seeds.
 This package turns those ad-hoc loops into *campaigns*:
 
-* :mod:`repro.campaign.spec` -- :class:`CampaignSpec` describes a
-  cartesian sweep as data (dict/JSON-loadable) and expands it into
+* :mod:`repro.campaign.spec` -- :class:`CampaignSpec` is a template
+  :class:`~repro.api.ExperimentPlan` plus client, server-condition
+  and qps sweep axes (dict/JSON-loadable); it expands into
   content-hashed :class:`ConditionSpec` experiments.
 * :mod:`repro.campaign.store` -- :class:`ResultStore` persists each
   condition's result in SQLite keyed by its hash, enabling cache
   hits, mid-run resume and store-backed analysis.
 * :mod:`repro.campaign.executor` -- :class:`CampaignExecutor` fans
-  conditions out over a process pool (each experiment is
-  seed-deterministic and embarrassingly parallel) with per-condition
-  failure isolation.
+  conditions out over a process pool, one plan per task (each
+  experiment is seed-deterministic and embarrassingly parallel), with
+  per-condition failure isolation and batched store writes.
 * :mod:`repro.campaign.presets` -- the paper's figure studies as
   named campaigns.
 * :mod:`repro.campaign.report` -- status and store-backed rendering

@@ -14,25 +14,16 @@ payload instead of raising -- so one bad condition never kills the
 campaign; it is reported, left out of the store, and retried on the
 next invocation.
 
-Two scale-out mechanics keep large campaigns efficient:
-
-* **Warm workers** -- the pool initializer installs the campaign's
-  *plan skeleton* (the first pending condition's full plan dict)
-  once per worker process and pre-compiles it, so the heavy imports
-  (workload registry, assembly modules) and registry validation are
-  paid once per worker, not once per condition.  Conditions then ship
-  as section-level *patches* against the skeleton -- exact by
-  construction, since a patch stores every section that differs and
-  drops every section the condition lacks.
-* **Batched persistence** -- the parent buffers finished results and
-  writes them to the store in one transaction per
-  :data:`PERSIST_BATCH` drain (see :meth:`ResultStore.put_many`),
-  instead of one commit per condition.
+Each pending condition ships to a worker as its plan's dict form, one
+condition per task -- the pickle boundary carries only JSON-shaped
+data, and the worker re-validates the plan on rebuild.  The parent
+buffers finished results and writes them to the store in one
+transaction per :data:`PERSIST_BATCH` drain (see
+:meth:`ResultStore.put_many`), instead of one commit per condition.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -60,112 +51,35 @@ ProgressCallback = Callable[["ConditionOutcome", int, int], None]
 #: Finished results buffered in the parent per store transaction.
 PERSIST_BATCH = 16
 
-#: The campaign-invariant plan skeleton installed in each warm worker
-#: by :func:`_warm_init` (a module global: pool initializers run once
-#: per worker process, before any task).
-_WARM_SKELETON: Optional[Dict[str, Any]] = None
-
-#: Sentinel distinguishing "section absent" from any real section.
-_MISSING = object()
-
-
-def _warm_init(skeleton_json: str) -> None:
-    """Pool initializer: install and pre-compile the plan skeleton.
-
-    Compiling the skeleton once pulls in the workload registry and
-    the assembly modules and runs spec validation, so per-condition
-    work in this process starts warm.  Warming is best-effort: a
-    skeleton that fails to compile leaves each patched payload to
-    fail (and be recorded) individually.
-    """
-    global _WARM_SKELETON
-    _WARM_SKELETON = json.loads(skeleton_json)
-    try:
-        ExperimentPlan.from_dict(_WARM_SKELETON)
-    except Exception:  # noqa: BLE001 -- warming must never kill a worker
-        pass
-
-
-def _plan_patch(skeleton: Dict[str, Any],
-                plan_dict: Dict[str, Any]) -> Dict[str, Any]:
-    """The section-level patch turning *skeleton* into *plan_dict*.
-
-    ``set`` holds every section whose value differs from the
-    skeleton's; ``drop`` lists skeleton sections the plan lacks.
-    :func:`_apply_patch` inverts this exactly, so patched payloads
-    reconstruct the original plan dict byte-for-byte.
-    """
-    return {
-        "set": {key: value for key, value in plan_dict.items()
-                if skeleton.get(key, _MISSING) != value},
-        "drop": [key for key in skeleton if key not in plan_dict],
-    }
-
-
-def _apply_patch(skeleton: Dict[str, Any],
-                 patch: Dict[str, Any]) -> Dict[str, Any]:
-    """Rebuild a plan dict from the warm skeleton and its patch."""
-    dropped = set(patch.get("drop", ()))
-    data = {key: value for key, value in skeleton.items()
-            if key not in dropped}
-    data.update(patch.get("set", {}))
-    return data
-
 
 def run_condition(spec: ConditionSpec) -> ExperimentResult:
     """Run one condition's experiment to completion (any process)."""
     return spec.plan.run()
 
 
-def _execute_chunk(payloads: Sequence[Dict[str, Any]]
-                   ) -> List[Dict[str, Any]]:
-    """Worker entry point: run a chunk of plans, never raise.
+def _execute(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Worker entry point: run one condition's plan, never raise.
 
-    Each payload is ``{"hash": <condition hash>, ...}`` carrying
-    either a full ``"plan"`` dict or a ``"patch"`` against the warm
-    worker's installed skeleton (see :func:`_warm_init`); either way
-    the pickle boundary carries only JSON-shaped data.  An optional
-    ``"submitted_at"`` parent ``time.monotonic()`` stamp lets the
-    worker report how long the payload sat queued (CLOCK_MONOTONIC is
-    system-wide on Linux, so the cross-process difference is
-    meaningful).  Every exception is captured as an error payload so
-    a single bad condition cannot poison its chunk or the pool.
+    The payload is ``{"hash": <condition hash>, "plan": <plan dict>,
+    "submitted_at": <parent time.monotonic()>}``; the submit stamp
+    lets the worker report how long the payload sat queued
+    (CLOCK_MONOTONIC is system-wide on Linux, so the cross-process
+    difference is meaningful).  Every exception is captured as an
+    error payload so a single bad condition cannot poison the pool.
     """
-    out: List[Dict[str, Any]] = []
-    for payload in payloads:
-        started = time.perf_counter()
-        submitted = payload.get("submitted_at")
-        queue_wait = (max(0.0, time.monotonic() - float(submitted))
-                      if submitted is not None else 0.0)
-        try:
-            if "plan" in payload:
-                plan_dict = payload["plan"]
-            elif _WARM_SKELETON is not None:
-                plan_dict = _apply_patch(_WARM_SKELETON,
-                                         payload["patch"])
-            else:
-                raise ExperimentError(
-                    "patched payload reached a worker with no "
-                    "installed plan skeleton")
-            plan = ExperimentPlan.from_dict(plan_dict)
-            result = plan.run()
-            out.append({
-                "hash": payload["hash"],
-                "ok": True,
-                "result": experiment_result_to_dict(result),
-                "elapsed_s": time.perf_counter() - started,
-                "queue_wait_s": queue_wait,
-                "pid": os.getpid(),
-            })
-        except Exception as exc:  # noqa: BLE001 -- isolation boundary
-            out.append({
-                "hash": payload["hash"],
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "elapsed_s": time.perf_counter() - started,
-                "queue_wait_s": queue_wait,
-                "pid": os.getpid(),
-            })
+    started = time.perf_counter()
+    out: Dict[str, Any] = {
+        "hash": payload["hash"],
+        "queue_wait_s": max(
+            0.0, time.monotonic() - float(payload["submitted_at"])),
+        "pid": os.getpid(),
+    }
+    try:
+        result = ExperimentPlan.from_dict(payload["plan"]).run()
+        out.update(ok=True, result=experiment_result_to_dict(result))
+    except Exception as exc:  # noqa: BLE001 -- isolation boundary
+        out.update(ok=False, error=f"{type(exc).__name__}: {exc}")
+    out["elapsed_s"] = time.perf_counter() - started
     return out
 
 
@@ -302,9 +216,6 @@ class CampaignExecutor:
             values <= 1 run inline in this process (no pool, no pickle
             round-trip) -- the exact serial path the figure studies
             used before campaigns existed.
-        chunksize: conditions shipped to a worker per task.  Raise it
-            for campaigns of many tiny conditions to amortize process
-            round-trips.
         fail_fast: abort on the first failed condition instead of
             capturing it and continuing.  Inline execution re-raises
             the original exception (the pre-campaign study behavior);
@@ -319,18 +230,14 @@ class CampaignExecutor:
 
     def __init__(self, store: Optional[ResultStore] = None,
                  max_workers: Optional[int] = None,
-                 chunksize: int = 1, fail_fast: bool = False,
+                 fail_fast: bool = False,
                  persist_batch: int = PERSIST_BATCH) -> None:
-        if chunksize < 1:
-            raise ExperimentError(
-                f"chunksize must be >= 1, got {chunksize}")
         if persist_batch < 1:
             raise ExperimentError(
                 f"persist_batch must be >= 1, got {persist_batch}")
         self.store = store
         self.max_workers = (os.cpu_count() or 1) if max_workers is None \
             else int(max_workers)
-        self.chunksize = int(chunksize)
         self.fail_fast = bool(fail_fast)
         self.persist_batch = int(persist_batch)
 
@@ -422,85 +329,59 @@ class CampaignExecutor:
     def _run_pool(self, pending: List[ConditionSpec],
                   record: Callable[[ConditionOutcome], None],
                   persist: _PersistBuffer) -> None:
-        # Hash each pending condition once.  The first condition's
-        # plan is the campaign's skeleton: warm workers install it
-        # once at pool start, and every condition ships as a
-        # section-level patch against it (typically just the
-        # load/hardware sections that vary).
-        hashes = [condition.content_hash() for condition in pending]
-        by_hash = dict(zip(hashes, pending))
-        plan_dicts = [condition.plan.to_dict() for condition in pending]
-        skeleton = plan_dicts[0]
-        payloads = [{"hash": condition_hash,
-                     "patch": _plan_patch(skeleton, plan_dict)}
-                    for condition_hash, plan_dict
-                    in zip(hashes, plan_dicts)]
-        chunks = [(pending[i:i + self.chunksize],
-                   payloads[i:i + self.chunksize])
-                  for i in range(0, len(pending), self.chunksize)]
-        workers = min(self.max_workers, len(chunks))
-        with ProcessPoolExecutor(
-                max_workers=workers, initializer=_warm_init,
-                initargs=(json.dumps(skeleton),)) as pool:
-            futures = {}
-            for chunk, chunk_payloads in chunks:
-                # The submit stamp is what queue-wait is measured
-                # against in the worker (both ends CLOCK_MONOTONIC).
-                submitted = time.monotonic()
-                for payload in chunk_payloads:
-                    payload["submitted_at"] = submitted
-                futures[pool.submit(_execute_chunk,
-                                    chunk_payloads)] = chunk
+        workers = min(self.max_workers, len(pending))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = {
+                pool.submit(_execute, {
+                    "hash": condition.content_hash(),
+                    "plan": condition.plan.to_dict(),
+                    # What queue-wait is measured against in the
+                    # worker (both ends CLOCK_MONOTONIC).
+                    "submitted_at": time.monotonic(),
+                }): condition
+                for condition in pending}
             for future in as_completed(futures):
-                chunk = futures[future]
+                condition = futures[future]
                 try:
-                    chunk_results = future.result()
+                    payload = future.result()
                 except Exception as exc:  # noqa: BLE001 -- pool failure
-                    # The whole chunk is lost (e.g. a worker died);
-                    # fail its conditions rather than the campaign.
-                    for condition in chunk:
-                        record(ConditionOutcome(
-                            spec=condition, status=STATUS_FAILED,
-                            error=f"{type(exc).__name__}: {exc}"))
+                    # The task is lost (e.g. a worker died); fail its
+                    # condition rather than the campaign.
+                    record(ConditionOutcome(
+                        spec=condition, status=STATUS_FAILED,
+                        error=f"{type(exc).__name__}: {exc}"))
                     continue
-                for payload in chunk_results:
-                    condition = by_hash[payload["hash"]]
-                    elapsed = float(payload.get("elapsed_s", 0.0))
-                    queue_wait = float(
-                        payload.get("queue_wait_s", 0.0))
-                    pid = payload.get("pid")
-                    if self.fail_fast and not payload["ok"]:
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        raise ExperimentError(
-                            f"condition {condition.label} @ "
-                            f"{condition.qps:g} failed: "
-                            f"{payload['error']}")
-                    if payload["ok"]:
-                        result = experiment_result_from_dict(
-                            payload["result"])
-                        persist.add(condition, result,
-                                    result_dict=payload["result"],
-                                    elapsed_s=elapsed,
-                                    queue_wait_s=queue_wait,
-                                    worker_pid=pid)
-                        record(ConditionOutcome(
-                            spec=condition, status=STATUS_DONE,
-                            result=result, elapsed_s=elapsed,
-                            queue_wait_s=queue_wait,
-                            worker_pid=pid))
-                    else:
-                        record(ConditionOutcome(
-                            spec=condition, status=STATUS_FAILED,
-                            error=payload["error"],
-                            elapsed_s=elapsed,
-                            queue_wait_s=queue_wait,
-                            worker_pid=pid))
+                elapsed = float(payload["elapsed_s"])
+                queue_wait = float(payload["queue_wait_s"])
+                pid = payload["pid"]
+                if self.fail_fast and not payload["ok"]:
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    raise ExperimentError(
+                        f"condition {condition.label} @ "
+                        f"{condition.qps:g} failed: "
+                        f"{payload['error']}")
+                if payload["ok"]:
+                    result = experiment_result_from_dict(
+                        payload["result"])
+                    persist.add(condition, result,
+                                result_dict=payload["result"],
+                                elapsed_s=elapsed,
+                                queue_wait_s=queue_wait,
+                                worker_pid=pid)
+                    record(ConditionOutcome(
+                        spec=condition, status=STATUS_DONE,
+                        result=result, elapsed_s=elapsed,
+                        queue_wait_s=queue_wait, worker_pid=pid))
+                else:
+                    record(ConditionOutcome(
+                        spec=condition, status=STATUS_FAILED,
+                        error=payload["error"], elapsed_s=elapsed,
+                        queue_wait_s=queue_wait, worker_pid=pid))
 
 
 def execute_campaign(spec: CampaignSpec,
                      store: Optional[ResultStore] = None,
                      max_workers: Optional[int] = 1,
-                     chunksize: int = 1,
                      fail_fast: bool = False,
                      progress: Optional[ProgressCallback] = None
                      ) -> CampaignOutcome:
@@ -511,6 +392,5 @@ def execute_campaign(spec: CampaignSpec,
     ``max_workers=None`` to use every core.
     """
     executor = CampaignExecutor(
-        store=store, max_workers=max_workers, chunksize=chunksize,
-        fail_fast=fail_fast)
+        store=store, max_workers=max_workers, fail_fast=fail_fast)
     return executor.run(spec, progress=progress)

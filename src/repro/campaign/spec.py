@@ -1,13 +1,19 @@
 """Declarative campaign specifications.
 
-A *campaign* is the paper's methodology written down as data: a
-cartesian sweep of workloads x client configurations x server knob
-conditions x offered loads, each cell repeated N times from a
-deterministic seed block.  :class:`CampaignSpec` describes the sweep;
-:meth:`CampaignSpec.expand` flattens it into an ordered list of
-:class:`ConditionSpec` -- one experiment each -- with stable content
+A *campaign* is the paper's methodology written down as data: one
+template :class:`~repro.api.ExperimentPlan` swept over client
+configurations x server knob conditions x offered loads, each cell
+repeated N times from a deterministic seed block.
+:class:`CampaignSpec` is the template plus those three axes;
+:meth:`CampaignSpec.expand` derives one :class:`ConditionSpec` per
+cell from the template -- one experiment each -- with stable content
 hashes that key the result store and make re-runs, resumes and
 cross-campaign sharing possible.
+
+The campaign file and the condition store key render the plan's
+shared sections (workload, runs, requests, seed, parameters and the
+optional topology/engine/arrival/workers fields) with one pair of
+helpers, so a plan field is declared once.
 
 Specs are data, not code: :meth:`CampaignSpec.from_dict` accepts plain
 dicts/JSON with preset shorthands (clients by Table II name, server
@@ -18,13 +24,13 @@ to the figures it feeds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Dict,
+    Iterable,
     List,
     Mapping,
-    Optional,
     Sequence,
     Tuple,
     Union,
@@ -37,13 +43,13 @@ from repro.api.specs import (
     RunPolicy,
     WorkloadSpec,
     _check_keys,
+    _coerce,
 )
 from repro.campaign.serialize import (
     content_hash,
     hardware_config_from_dict,
     hardware_config_to_dict,
 )
-from repro.cluster.spec import ClusterSpec, as_cluster_spec
 from repro.config.knobs import HardwareConfig
 from repro.config.presets import (
     HP_CLIENT,
@@ -52,15 +58,11 @@ from repro.config.presets import (
     server_with_smt,
 )
 from repro.core.experiment import DEFAULT_RUNS
-from repro.errors import ExperimentError
-from repro.graph.spec import ServiceGraphSpec, as_graph_spec
-from repro.loadgen.interarrival import ArrivalSpec, as_arrival_spec
-from repro.sim.kernel import DEFAULT_ENGINE, validate_engine_name
+from repro.errors import ExperimentError, SpecValidationError
+from repro.obs.sinks import DEFAULT_SINK
+from repro.sim.kernel import DEFAULT_ENGINE
 from repro.sim.random import _stable_name_key
-from repro.workloads.registry import (
-    UNIVERSAL_BUILDER_PARAMS,
-    find_workload,
-)
+from repro.workloads.registry import UNIVERSAL_BUILDER_PARAMS
 
 #: The default client sweep: both Table II configurations.
 DEFAULT_CLIENTS: Dict[str, HardwareConfig] = {
@@ -109,18 +111,69 @@ def _split_extra(extra: Mapping[str, Any]
     return params, load
 
 
+def _plan_sections(plan: ExperimentPlan) -> Dict[str, Any]:
+    """The plan sections a campaign file and a condition key share.
+
+    ``workload``, ``runs``, ``num_requests``, ``base_seed`` and
+    ``extra`` (the workload parameters plus ``warmup_fraction`` when
+    set), with ``cluster`` / ``engine`` / ``graph`` / ``arrival`` /
+    ``workers`` present only when non-default -- so a new plan field
+    left at its default never re-keys a stored result.
+    """
+    extra = plan.workload.param_dict()
+    for spec in UNIVERSAL_BUILDER_PARAMS:
+        value = getattr(plan.load, spec.name)
+        if value is not None:
+            extra[spec.name] = value
+    data: Dict[str, Any] = {
+        "workload": plan.workload.name,
+        "runs": plan.policy.runs,
+        "num_requests": plan.load.num_requests,
+        "base_seed": plan.policy.base_seed,
+        "extra": extra,
+    }
+    if not plan.cluster.is_single_server:
+        data["cluster"] = plan.cluster.to_dict()
+    if plan.policy.engine != DEFAULT_ENGINE:
+        data["engine"] = plan.policy.engine
+    if plan.graph is not None:
+        data["graph"] = plan.graph.to_dict()
+    if plan.load.arrival is not None:
+        data["arrival"] = plan.load.arrival.to_dict()
+    if plan.policy.workers != 1:
+        data["workers"] = plan.policy.workers
+    return data
+
+
+def _plan_from_sections(data: Mapping[str, Any], *, qps: Any,
+                        hardware: HardwareSpec,
+                        label: str = "") -> ExperimentPlan:
+    """Inverse of :func:`_plan_sections`, completed by the sweep cell
+    (qps, hardware pair, label) the sections do not carry."""
+    params, load = _split_extra(data.get("extra", {}))
+    return ExperimentPlan(
+        workload=WorkloadSpec.create(str(data["workload"]), **params),
+        load=LoadSpec(qps=qps, num_requests=data["num_requests"],
+                      arrival=data.get("arrival"), **load),
+        hardware=hardware,
+        policy=RunPolicy(runs=data["runs"], base_seed=data["base_seed"],
+                         label=label,
+                         engine=data.get("engine", DEFAULT_ENGINE),
+                         workers=data.get("workers", 1)),
+        cluster=data.get("cluster"),
+        graph=data.get("graph"),
+    )
+
+
 @dataclass(frozen=True)
 class ConditionSpec:
     """One fully-resolved experimental condition: the plan it runs.
 
     The plan is the single source of truth.  :meth:`to_dict` renders
-    it into the campaign *store-key layout* -- workload, client and
-    server labels and configs, qps, runs, num_requests, base_seed and
-    ``extra`` (the workload parameters plus ``warmup_fraction`` when
-    set), with ``cluster`` / ``engine`` / ``graph`` / ``arrival`` /
-    ``workers`` present only when non-default -- so a new plan field
-    left at its default never re-keys a stored result.
-    :meth:`from_dict` is its inverse.
+    it into the campaign *store-key layout*: the sections it shares
+    with the campaign file (see :func:`_plan_sections`, with ``extra``
+    canonicalized by :func:`_normalize_extra`) plus client and server
+    labels and configs and qps.  :meth:`from_dict` is its inverse.
 
     The plan's ``policy.label`` is the condition :attr:`label`; the
     observability knobs (sink, trace, metrics) are not part of the
@@ -153,62 +206,31 @@ class ConditionSpec:
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON store-key layout (the hash input)."""
-        plan = self.plan
-        extra = plan.workload.param_dict()
-        for spec in UNIVERSAL_BUILDER_PARAMS:
-            value = getattr(plan.load, spec.name)
-            if value is not None:
-                extra[spec.name] = value
-        data = {
-            "workload": plan.workload.name,
-            "client_label": plan.hardware.client_label,
-            "client_config": hardware_config_to_dict(plan.hardware.client),
-            "condition_label": plan.hardware.server_label,
-            "server_config": hardware_config_to_dict(plan.hardware.server),
-            "qps": plan.load.qps,
-            "runs": plan.policy.runs,
-            "num_requests": plan.load.num_requests,
-            "base_seed": plan.policy.base_seed,
-            "extra": _normalize_extra(extra),
-        }
-        if not plan.cluster.is_single_server:
-            data["cluster"] = plan.cluster.to_dict()
-        if plan.policy.engine != DEFAULT_ENGINE:
-            data["engine"] = plan.policy.engine
-        if plan.graph is not None:
-            data["graph"] = plan.graph.to_dict()
-        if plan.load.arrival is not None:
-            data["arrival"] = plan.load.arrival.to_dict()
-        if plan.policy.workers != 1:
-            data["workers"] = plan.policy.workers
+        hardware = self.plan.hardware
+        data = _plan_sections(self.plan)
+        data.update(
+            client_label=hardware.client_label,
+            client_config=hardware_config_to_dict(hardware.client),
+            condition_label=hardware.server_label,
+            server_config=hardware_config_to_dict(hardware.server),
+            qps=self.plan.load.qps,
+            extra=_normalize_extra(data["extra"]))
         return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ConditionSpec":
         """Rebuild a condition (and its plan) from the store layout."""
         try:
-            params, load = _split_extra(data.get("extra", {}))
             client_label = str(data["client_label"])
             condition_label = str(data["condition_label"])
-            return cls(ExperimentPlan(
-                workload=WorkloadSpec.create(str(data["workload"]),
-                                             **params),
-                load=LoadSpec(qps=data["qps"],
-                              num_requests=data["num_requests"],
-                              arrival=data.get("arrival"), **load),
+            return cls(_plan_from_sections(
+                data, qps=data["qps"],
                 hardware=HardwareSpec(
                     client=data["client_config"],
                     server=data["server_config"],
                     client_label=client_label,
                     server_label=condition_label),
-                policy=RunPolicy(
-                    runs=data["runs"], base_seed=data["base_seed"],
-                    label=f"{client_label}-{condition_label}",
-                    engine=data.get("engine", DEFAULT_ENGINE),
-                    workers=data.get("workers", 1)),
-                cluster=data.get("cluster"),
-                graph=data.get("graph"),
-            ))
+                label=f"{client_label}-{condition_label}"))
         except KeyError as exc:
             raise ExperimentError(
                 f"invalid condition spec: missing {exc}") from exc
@@ -261,94 +283,78 @@ def _coerce_clients(
             for name in value}
 
 
+def _qps_tuple(value: Any) -> Tuple[float, ...]:
+    """The load sweep as floats; a non-list or non-numeric entry is a
+    :class:`SpecValidationError`, not a traceback."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        raise SpecValidationError(
+            f"qps_list must be a list of numbers, got {value!r}")
+    qps_list = tuple(_coerce(float, qps, "qps") for qps in value)
+    if not qps_list:
+        raise SpecValidationError("qps_list must be non-empty")
+    return qps_list
+
+
+#: Campaign-file values for sections a file may leave out.
+_SECTION_DEFAULTS = {"runs": DEFAULT_RUNS, "num_requests": 1_000,
+                     "base_seed": 0}
+
 #: Keys a campaign spec file may carry: the :meth:`CampaignSpec.to_dict`
 #: layout plus ``qps``, the alias for ``qps_list``.
 _CAMPAIGN_KEYS = ("name", "workload", "clients", "conditions", "qps_list",
                   "qps", "runs", "num_requests", "base_seed", "extra",
-                  "cluster", "engine", "graph", "arrival")
+                  "cluster", "engine", "graph", "arrival", "workers")
 
 
 @dataclass
 class CampaignSpec:
-    """A declarative cartesian sweep of experimental conditions.
+    """A declarative cartesian sweep: one template plan plus three axes.
 
     Attributes:
         name: campaign name (labels the store rows and reports).
-        workload: registered workload name.
-        clients: client label -> hardware config (default: LP and HP).
+        plan: the template every condition derives from -- workload
+            and parameters, requests per run, warmup fraction,
+            arrival shape, runs, engine, workers, cluster or graph,
+            and the campaign-wide base seed (``plan.policy.base_seed``;
+            per-condition blocks are derived via :func:`cell_seed`).
+            The axes own its qps, hardware pair and label, and its
+            observability knobs (sink, trace, metrics) never reach a
+            condition.
         conditions: server condition label -> hardware config.
         qps_list: the load sweep, in paper order.
-        runs: repetitions per condition.
-        num_requests: requests per run.
-        base_seed: campaign-wide base seed; per-condition blocks are
-            derived via :func:`cell_seed`.
-        extra: extra kwargs forwarded to the testbed builder.
-        cluster: server-side topology every condition deploys on
-            (spec, dict, or ``None`` for single-server).
-        engine: event-loop engine every condition runs on (``None``
-            for the reference loop).  Validated here, before any
-            condition executes, with a did-you-mean hint.
-        graph: service-graph topology every condition deploys on
-            (spec, dict, or ``None``); validated here, before
-            expansion, with did-you-mean hints for tier references.
-        arrival: time-varying arrival shape every condition drives
-            (spec, dict, shape name, or ``None`` for Poisson).
+        clients: client label -> hardware config (default: LP and HP).
     """
 
     name: str
-    workload: str
+    plan: ExperimentPlan
     conditions: Dict[str, HardwareConfig]
     qps_list: Tuple[float, ...]
     clients: Dict[str, HardwareConfig] = field(
         default_factory=lambda: dict(DEFAULT_CLIENTS))
-    runs: int = DEFAULT_RUNS
-    num_requests: int = 1_000
-    base_seed: int = 0
-    extra: Dict[str, Any] = field(default_factory=dict)
-    cluster: Optional[ClusterSpec] = None
-    engine: Optional[str] = None
-    graph: Optional[ServiceGraphSpec] = None
-    arrival: Optional[ArrivalSpec] = None
 
     def __post_init__(self) -> None:
-        if self.cluster is not None:
-            cluster = as_cluster_spec(self.cluster)
-            self.cluster = (None if cluster.is_single_server
-                            else cluster)
-        if self.engine is not None:
-            engine = validate_engine_name(self.engine)
-            self.engine = (None if engine == DEFAULT_ENGINE
-                           else engine)
-        self.graph = as_graph_spec(self.graph)
-        self.arrival = as_arrival_spec(self.arrival)
-        if self.graph is not None and self.cluster is not None:
-            raise ExperimentError(
-                "a campaign deploys either a service graph or a "
-                "cluster, not both")
-        self.qps_list = tuple(float(q) for q in self.qps_list)
+        self.qps_list = _qps_tuple(self.qps_list)
         if not self.name:
             raise ExperimentError("campaign name must be non-empty")
-        if self.runs < 1:
-            raise ExperimentError(f"runs must be >= 1, got {self.runs}")
-        if self.num_requests < 1:
-            raise ExperimentError(
-                f"num_requests must be >= 1, got {self.num_requests}")
-        if not self.qps_list:
-            raise ExperimentError("qps_list must be non-empty")
         if not self.conditions:
             raise ExperimentError("conditions must be non-empty")
         if not self.clients:
             raise ExperimentError("clients must be non-empty")
-        self.extra = _normalize_extra(self.extra)
-        # Validate extra against the workload's registered parameter
-        # schema *now*, naming the offending key -- not at execution
-        # time deep inside a worker process.  A workload the driving
-        # process has not registered (a plugin the executor imports)
-        # defers validation to expansion.
-        definition = find_workload(self.workload)
-        if definition is not None:
-            self.extra = definition.validate_params(
-                self.extra, include_universal=True)
+
+    @property
+    def workload(self) -> str:
+        """The template's workload name."""
+        return self.plan.workload.name
+
+    @property
+    def runs(self) -> int:
+        """Repetitions per condition."""
+        return self.plan.policy.runs
+
+    @property
+    def num_requests(self) -> int:
+        """Requests per run."""
+        return self.plan.load.num_requests
 
     # ------------------------------------------------------------------
     def expand(self) -> List[ConditionSpec]:
@@ -358,20 +364,9 @@ class CampaignSpec:
         serial figure studies use, so a campaign-built grid renders
         its series in the same order.
         """
-        # One validated template; each cell swaps in its client,
-        # server, qps and seed block.
-        params, load = _split_extra(self.extra)
-        template = ExperimentPlan(
-            workload=WorkloadSpec.create(self.workload, **params),
-            load=LoadSpec(qps=self.qps_list[0],
-                          num_requests=self.num_requests,
-                          arrival=self.arrival, **load),
-            hardware=HardwareSpec(client=LP_CLIENT),
-            policy=RunPolicy(runs=self.runs,
-                             engine=self.engine or DEFAULT_ENGINE),
-            cluster=as_cluster_spec(self.cluster),
-            graph=self.graph,
-        )
+        template = self.plan.with_policy(
+            sink=DEFAULT_SINK, trace=False, metrics=False)
+        base_seed = self.plan.policy.base_seed
         out: List[ConditionSpec] = []
         for client_label, client_config in self.clients.items():
             client = template.with_client(client_config, client_label)
@@ -381,7 +376,7 @@ class CampaignSpec:
                     out.append(ConditionSpec(
                         cell.with_qps(qps).with_policy(
                             base_seed=cell_seed(
-                                self.base_seed, client_label,
+                                base_seed, client_label,
                                 condition_label, qps),
                             label=f"{client_label}-{condition_label}")))
         return out
@@ -390,34 +385,29 @@ class CampaignSpec:
         """Number of conditions in the sweep."""
         return len(self.clients) * len(self.conditions) * len(self.qps_list)
 
-    def with_overrides(self, **kwargs: Any) -> "CampaignSpec":
-        """Copy of this spec with some fields replaced (CLI overrides)."""
-        return replace(self, **kwargs)
+    def with_overrides(self, **keys: Any) -> "CampaignSpec":
+        """Copy with campaign-file keys replaced (CLI overrides).
+
+        Keys are those of :meth:`to_dict` (``runs``, ``base_seed``,
+        ``qps_list``, ``engine``, ``clients``, ...); a misspelled one
+        gets the file loader's did-you-mean.
+        """
+        data = self.to_dict()
+        if "qps" in keys:  # the alias replaces the sweep too
+            del data["qps_list"]
+        return CampaignSpec.from_dict({**data, **keys})
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON form of the whole campaign."""
-        data = {
-            "name": self.name,
-            "workload": self.workload,
-            "clients": {label: hardware_config_to_dict(config)
-                        for label, config in self.clients.items()},
-            "conditions": {label: hardware_config_to_dict(config)
-                           for label, config in self.conditions.items()},
-            "qps_list": list(self.qps_list),
-            "runs": self.runs,
-            "num_requests": self.num_requests,
-            "base_seed": self.base_seed,
-            "extra": dict(self.extra),
-        }
-        if self.cluster is not None:
-            data["cluster"] = self.cluster.to_dict()
-        if self.engine is not None:
-            data["engine"] = self.engine
-        if self.graph is not None:
-            data["graph"] = self.graph.to_dict()
-        if self.arrival is not None:
-            data["arrival"] = self.arrival.to_dict()
+        data = _plan_sections(self.plan)
+        data.update(
+            name=self.name,
+            clients={label: hardware_config_to_dict(config)
+                     for label, config in self.clients.items()},
+            conditions={label: hardware_config_to_dict(config)
+                        for label, config in self.conditions.items()},
+            qps_list=list(self.qps_list))
         return data
 
     def to_json(self, indent: int = 2) -> str:
@@ -434,35 +424,26 @@ class CampaignSpec:
         Unknown keys are rejected with a did-you-mean hint.
         """
         _check_keys(data, _CAMPAIGN_KEYS, "campaign")
+        qps_list = data.get("qps_list", data.get("qps"))
         try:
-            name = str(data["name"])
-            workload = str(data["workload"])
-            raw_conditions = data["conditions"]
+            if qps_list is None:
+                raise KeyError("qps_list")
+            qps_list = _qps_tuple(qps_list)
+            conditions = {
+                str(label): _coerce_server_condition(str(label), value)
+                for label, value in dict(data["conditions"]).items()}
+            return cls(
+                name=str(data["name"]),
+                plan=_plan_from_sections(
+                    {**_SECTION_DEFAULTS, **data}, qps=qps_list[0],
+                    hardware=HardwareSpec(client=LP_CLIENT)),
+                conditions=conditions,
+                qps_list=qps_list,
+                clients=_coerce_clients(data.get("clients")),
+            )
         except KeyError as exc:
             raise ExperimentError(
                 f"invalid campaign spec: missing {exc}") from exc
-        qps_list = data.get("qps_list", data.get("qps"))
-        if qps_list is None:
-            raise ExperimentError(
-                "invalid campaign spec: missing 'qps_list'")
-        conditions = {
-            str(label): _coerce_server_condition(str(label), value)
-            for label, value in dict(raw_conditions).items()}
-        return cls(
-            name=name,
-            workload=workload,
-            clients=_coerce_clients(data.get("clients")),
-            conditions=conditions,
-            qps_list=tuple(float(q) for q in qps_list),
-            runs=int(data.get("runs", DEFAULT_RUNS)),
-            num_requests=int(data.get("num_requests", 1_000)),
-            base_seed=int(data.get("base_seed", 0)),
-            extra=dict(data.get("extra", {})),
-            cluster=data.get("cluster"),
-            engine=data.get("engine"),
-            graph=data.get("graph"),
-            arrival=data.get("arrival"),
-        )
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignSpec":

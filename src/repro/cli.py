@@ -209,8 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
             parallelism.add_argument(
                 "--serial", action="store_true",
                 help="run inline in this process")
-            sub.add_argument("--chunksize", type=int, default=1,
-                             help="conditions per worker task")
         if verb == "report":
             sub.add_argument("--metric", default="avg",
                              choices=["avg", "p99", "true_avg",
@@ -502,7 +500,7 @@ def _spec_overrides(args: argparse.Namespace) -> dict:
     if args.seed is not None:
         overrides["base_seed"] = args.seed
     if getattr(args, "engine", None) is not None:
-        # Validated by CampaignSpec.__post_init__ -- an unknown name
+        # Validated when the campaign is built -- an unknown name
         # fails with a did-you-mean before any condition executes.
         overrides["engine"] = args.engine
     return overrides
@@ -536,8 +534,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             workers = 1 if args.serial else args.workers
             with ResultStore(args.store) as store:
                 executor = CampaignExecutor(
-                    store=store, max_workers=workers,
-                    chunksize=args.chunksize)
+                    store=store, max_workers=workers)
 
                 def progress(outcome, completed, total):
                     condition = outcome.spec
@@ -601,42 +598,36 @@ def _plan_campaign_spec(args: argparse.Namespace):
                     f"campaign; a --spec/--preset campaign already "
                     f"defines it")
         return _load_campaign_spec(args)
-    conditions = (knob_conditions(args.knob) if args.knob is not None
-                  else {"baseline": SERVER_BASELINE})
-    clients = None
-    if args.clients is not None:
-        try:
-            clients = {name: client_by_name(name)
-                       for name in args.clients}
-        except ValueError as exc:
-            raise ExperimentError(str(exc)) from None
     definition = find_workload(args.workload)
     if definition is not None and definition.qps_sweep:
         default_sweep = definition.qps_sweep
     elif definition is not None:
         default_sweep = (definition.default_qps,)
     else:
-        # Unregistered workload: expansion below raises the
-        # did-you-mean error; any placeholder sweep will do.
+        # Unregistered workload: building the campaign below raises
+        # the did-you-mean error; any placeholder sweep will do.
         default_sweep = (1_000.0,)
-    graph = None
+    fields = {
+        "name": f"{args.workload}-plan",
+        "workload": args.workload,
+        "conditions": (knob_conditions(args.knob)
+                       if args.knob is not None
+                       else {"baseline": SERVER_BASELINE}),
+        "qps_list": default_sweep,
+        "extra": dict(_parse_param(p) for p in args.param),
+    }
+    if args.clients is not None:
+        try:
+            fields["clients"] = {name: client_by_name(name)
+                                 for name in args.clients}
+        except ValueError as exc:
+            raise ExperimentError(str(exc)) from None
     if args.graph is not None:
         # Resolve the preset now so an unknown topology fails with
         # the registry's did-you-mean before any expansion output.
         from repro.graph.presets import graph_preset
-        graph = graph_preset(args.graph)
-    spec = CampaignSpec(
-        name=f"{args.workload}-plan",
-        workload=args.workload,
-        conditions=conditions,
-        qps_list=default_sweep,
-        extra=dict(_parse_param(p) for p in args.param),
-        graph=graph,
-    )
-    if clients is not None:
-        spec = spec.with_overrides(clients=clients)
-    overrides = _spec_overrides(args)
-    return spec.with_overrides(**overrides) if overrides else spec
+        fields["graph"] = graph_preset(args.graph)
+    return CampaignSpec.from_dict({**fields, **_spec_overrides(args)})
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -668,6 +659,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         total_runs = sum(c.runs for c in conditions)
         total_requests = sum(c.runs * c.num_requests
                              for c in conditions)
+        template = spec.plan
         print(f"campaign {spec.name!r}: workload={spec.workload}, "
               f"{len(spec.clients)} clients x "
               f"{len(spec.conditions)} conditions x "
@@ -675,16 +667,17 @@ def _cmd_plan(args: argparse.Namespace) -> int:
               f"experiments")
         print(f"totals: {total_runs} runs, {total_requests} "
               f"simulated requests")
-        if spec.extra:
-            print(f"workload parameters: {spec.extra}")
-        if spec.cluster is not None:
-            print(f"cluster topology: {spec.cluster.describe()}")
-        if spec.graph is not None:
+        extra = spec.to_dict()["extra"]
+        if extra:
+            print(f"workload parameters: {extra}")
+        if not template.cluster.is_single_server:
+            print(f"cluster topology: {template.cluster.describe()}")
+        if template.graph is not None:
             print("service graph:")
-            for line in spec.graph.describe().splitlines():
+            for line in template.graph.describe().splitlines():
                 print(f"  {line}")
-        if spec.arrival is not None:
-            print(f"arrival process: {spec.arrival.describe()}")
+        if template.load.arrival is not None:
+            print(f"arrival process: {template.load.arrival.describe()}")
         if tune_space is not None:
             print(f"tunable space ({tune_space.size()} candidates):")
             for line in tune_space.describe().splitlines():

@@ -5,8 +5,9 @@ All three drivers share one evaluation path
 the base plan, compiled into one
 :class:`~repro.campaign.spec.ConditionSpec` per objective sweep point,
 and routed through :class:`~repro.campaign.executor.CampaignExecutor`
--- so evaluations inherit the campaign layer's warm workers, failure
-isolation, and :class:`~repro.campaign.store.ResultStore` memoization.
+-- so evaluations inherit the campaign layer's cell derivation and
+seeding, failure isolation, and
+:class:`~repro.campaign.store.ResultStore` memoization.
 Every condition is keyed by content hash: a killed search re-runs only
 the conditions the store never saw, and re-evaluating a candidate the
 store already holds is a pure cache hit.
@@ -37,11 +38,10 @@ from repro.campaign.executor import (
     CampaignExecutor,
     ProgressCallback,
 )
-from repro.campaign.spec import ConditionSpec, cell_seed
+from repro.campaign.spec import CampaignSpec, ConditionSpec
 from repro.campaign.store import ResultStore
 from repro.core.provisioning import CapacityResult
 from repro.errors import ExperimentError, SpecValidationError
-from repro.obs.sinks import DEFAULT_SINK
 from repro.tune.objective import CapacityObjective
 from repro.tune.space import SearchSpace
 from repro.tune.tunables import format_value, thaw
@@ -136,7 +136,8 @@ class CandidateEvaluator:
         objective: the capacity objective.
         runs: repetitions per sweep point.
         base_seed: seed root; per-condition blocks derive from the
-            candidate label + qps via :func:`cell_seed`, never from
+            candidate label + qps via
+            :func:`~repro.campaign.spec.cell_seed`, never from
             trial order -- evaluating candidates in any order yields
             identical results.
         store: evaluation cache; ``None`` disables memoization.
@@ -147,7 +148,7 @@ class CandidateEvaluator:
                  objective: CapacityObjective, *,
                  runs: int = 3, base_seed: int = 0,
                  store: Optional[ResultStore] = None,
-                 max_workers: int = 1, chunksize: int = 1,
+                 max_workers: int = 1,
                  campaign: str = TUNE_CAMPAIGN) -> None:
         if runs < 1:
             raise SpecValidationError(
@@ -162,29 +163,23 @@ class CandidateEvaluator:
         # persist_batch=1: the resume guarantee is per evaluation, so
         # every finished condition must survive a kill immediately.
         self.executor = CampaignExecutor(
-            store=store, max_workers=max_workers, chunksize=chunksize,
-            fail_fast=False, persist_batch=1)
+            store=store, max_workers=max_workers, fail_fast=False,
+            persist_batch=1)
 
     # ------------------------------------------------------------------
     def conditions(self, assignment: Mapping[str, Any],
                    num_requests: int) -> List[ConditionSpec]:
-        """The condition list one evaluation executes (one per qps)."""
+        """The condition list one evaluation executes (one per qps):
+        a one-cell campaign over the candidate plan."""
         candidate = self.space.apply(self.plan, assignment)
-        label = assignment_label(assignment)
-        client_label = candidate.hardware.client_label or "client"
-        cell = (candidate
-                .with_client(candidate.hardware.client, client_label)
-                .with_server(candidate.hardware.server, label)
-                .with_load(num_requests=int(num_requests))
-                .with_policy(runs=self.runs,
-                             label=f"{client_label}-{label}",
-                             sink=DEFAULT_SINK, trace=False,
-                             metrics=False))
-        return [
-            ConditionSpec(cell.with_qps(qps).with_policy(
-                base_seed=cell_seed(self.base_seed, client_label,
-                                    label, float(qps))))
-            for qps in self.objective.qps_list]
+        hardware = candidate.hardware
+        return CampaignSpec(
+            name=self.campaign,
+            plan=(candidate.with_load(num_requests=int(num_requests))
+                  .with_policy(runs=self.runs, base_seed=self.base_seed)),
+            clients={hardware.client_label or "client": hardware.client},
+            conditions={assignment_label(assignment): hardware.server},
+            qps_list=self.objective.qps_list).expand()
 
     def cost_per_trial(self, num_requests: int) -> int:
         """Requests one evaluation charges against the budget."""

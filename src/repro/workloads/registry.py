@@ -148,9 +148,9 @@ class ParamSpec:
 
 #: Builder keywords every paper testbed accepts beyond the universal
 #: five (seed / client_config / server_config / qps / num_requests).
-#: Campaign ``extra`` dicts may carry them for backwards
-#: compatibility; :class:`repro.api.ExperimentPlan` routes them
-#: through :class:`~repro.api.LoadSpec` instead.
+#: Each is a :class:`~repro.api.LoadSpec` field of the same name; the
+#: campaign file and store-key ``extra`` sections carry it next to the
+#: workload parameters, and :class:`~repro.api.LoadSpec` validates it.
 UNIVERSAL_BUILDER_PARAMS: Tuple[ParamSpec, ...] = (
     ParamSpec("warmup_fraction", float, 0.1,
               "leading samples to discard", minimum=0.0, below=1.0),
@@ -203,16 +203,9 @@ class WorkloadDefinition:
         """Sorted names of the workload-specific parameters."""
         return tuple(sorted(spec.name for spec in self.params))
 
-    def validate_params(self, params: Mapping[str, Any], *,
-                        include_universal: bool = False
+    def validate_params(self, params: Mapping[str, Any]
                         ) -> Dict[str, Any]:
         """Validate *params* against the schema; return them normalized.
-
-        Args:
-            params: candidate parameter dict.
-            include_universal: additionally accept the universal
-                builder keywords (``warmup_fraction``) -- the campaign
-                ``extra`` compatibility surface.
 
         Raises:
             SpecValidationError: naming the offending key and listing
@@ -220,9 +213,6 @@ class WorkloadDefinition:
                 suggestion when one is close).
         """
         schema = self.schema()
-        if include_universal:
-            for spec in UNIVERSAL_BUILDER_PARAMS:
-                schema.setdefault(spec.name, spec)
         out: Dict[str, Any] = {}
         for key, value in dict(params).items():
             key = str(key)

@@ -56,11 +56,11 @@ def test_plan_testbed_matches_legacy_builder(workload):
 def test_condition_to_plan_matches_direct_plan_execution():
     """Campaign conditions compile to plans that produce the same
     samples as hand-built plans with the same knobs."""
-    spec = CampaignSpec(
+    spec = CampaignSpec.from_dict(dict(
         name="parity", workload="synthetic",
         conditions={"baseline": SERVER_BASELINE},
         qps_list=(5_000,), clients={"LP": LP_CLIENT},
-        runs=2, num_requests=50, extra={"added_delay_us": 100.0})
+        runs=2, num_requests=50, extra={"added_delay_us": 100.0}))
     condition = spec.expand()[0]
     plan = condition.to_plan()
     assert plan is condition.plan
@@ -81,11 +81,11 @@ def test_condition_to_plan_matches_direct_plan_execution():
 
 
 def test_warmup_fraction_in_extra_routes_to_load_spec():
-    spec = CampaignSpec(
+    spec = CampaignSpec.from_dict(dict(
         name="warmup", workload="memcached",
         conditions={"baseline": SERVER_BASELINE},
         qps_list=(50_000,), clients={"LP": LP_CLIENT},
-        runs=1, num_requests=50, extra={"warmup_fraction": 0.2})
+        runs=1, num_requests=50, extra={"warmup_fraction": 0.2}))
     plan = spec.expand()[0].to_plan()
     assert plan.load.warmup_fraction == 0.2
     assert plan.workload.param_dict() == {}
@@ -106,12 +106,12 @@ class TestCampaignExtraValidation:
 
         with pytest.raises(SpecValidationError,
                            match="unknown parameter 'added_delay_us'"):
-            CampaignSpec(**self.base(extra={"added_delay_us": 10.0}))
+            CampaignSpec.from_dict(self.base(extra={"added_delay_us": 10.0}))
 
     def test_valid_extra_key_accepted(self):
-        spec = CampaignSpec(**self.base(
+        spec = CampaignSpec.from_dict(self.base(
             workload="synthetic", extra={"added_delay_us": 10}))
-        assert spec.extra == {"added_delay_us": 10.0}
+        assert spec.to_dict()["extra"] == {"added_delay_us": 10.0}
 
     def test_out_of_range_warmup_fails_at_construction(self):
         """warmup_fraction bounds match LoadSpec's [0, 1): the spec
@@ -120,7 +120,7 @@ class TestCampaignExtraValidation:
         from repro.errors import SpecValidationError
 
         with pytest.raises(SpecValidationError, match="warmup_fraction"):
-            CampaignSpec(**self.base(extra={"warmup_fraction": 1.0}))
+            CampaignSpec.from_dict(self.base(extra={"warmup_fraction": 1.0}))
 
     def test_int_params_survive_extra_normalization(self):
         """Campaign extra canonicalizes ints to floats for hashing;
@@ -137,21 +137,25 @@ class TestCampaignExtraValidation:
             name="int-param-test",
             params=(ParamSpec("fanout", int, 4, minimum=1),),
         ), replace=True)
-        spec = CampaignSpec(**self.base(
+        spec = CampaignSpec.from_dict(self.base(
             workload="int-param-test", extra={"fanout": 4}))
-        assert spec.extra == {"fanout": 4}
-        assert isinstance(spec.extra["fanout"], int)
+        extra = spec.to_dict()["extra"]
+        assert extra == {"fanout": 4}
+        assert isinstance(extra["fanout"], int)
         from repro.errors import SpecValidationError
 
         with pytest.raises(SpecValidationError, match="must be int"):
-            CampaignSpec(**self.base(
+            CampaignSpec.from_dict(self.base(
                 workload="int-param-test", extra={"fanout": 4.5}))
 
-    def test_unregistered_workload_defers_validation(self):
-        """A workload only the executing process registers must still
-        construct -- validation then happens at plan-build time."""
-        spec = CampaignSpec(**self.base(
-            workload="not-imported-here", extra={"anything": 1}))
-        with pytest.raises(Exception, match="unknown workload"):
-            spec.expand()[0].to_plan()
+    def test_unregistered_workload_fails_early(self):
+        """An unregistered workload fails when the campaign is built,
+        with the registry's did-you-mean -- not at expansion or inside
+        a worker."""
+        from repro.errors import SpecValidationError
+
+        with pytest.raises(SpecValidationError,
+                           match="unknown workload 'memcachd' -- did "
+                                 "you mean 'memcached'"):
+            CampaignSpec.from_dict(self.base(workload="memcachd"))
 

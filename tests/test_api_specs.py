@@ -246,6 +246,23 @@ class TestRoundTrip:
         with pytest.raises(SpecValidationError, match="unknown key"):
             ExperimentPlan.from_dict(data)
 
+    @pytest.mark.parametrize("section,key,kind", [
+        ("policy", "runs", "int"),
+        ("policy", "base_seed", "int"),
+        ("policy", "workers", "int"),
+        ("load", "qps", "float"),
+        ("load", "num_requests", "int"),
+        ("load", "warmup_fraction", "float"),
+    ])
+    def test_malformed_value_names_the_field(self, section, key, kind):
+        """A wrong-typed value is a validation error naming the field
+        and the value, not a bare ValueError from int()/float()."""
+        data = small_plan().to_dict()
+        data[section][key] = "x"
+        with pytest.raises(SpecValidationError,
+                           match=f"{key} must be {kind}, got 'x'"):
+            ExperimentPlan.from_dict(data)
+
     def test_policy_section_may_be_omitted(self):
         data = small_plan().to_dict()
         del data["policy"]

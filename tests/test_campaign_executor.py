@@ -6,11 +6,7 @@ import multiprocessing
 
 import pytest
 
-from repro.campaign.executor import (
-    CampaignExecutor,
-    execute_campaign,
-    run_condition,
-)
+from repro.campaign.executor import execute_campaign, run_condition
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
 from repro.config.presets import (
@@ -27,7 +23,7 @@ from repro.workloads.registry import (
 
 
 def small_spec(**overrides):
-    defaults = dict(
+    fields = dict(
         name="executor-test",
         workload="memcached",
         conditions={"SMToff": server_with_smt(False),
@@ -36,8 +32,8 @@ def small_spec(**overrides):
         runs=2,
         num_requests=60,
     )
-    defaults.update(overrides)
-    return CampaignSpec(**defaults)
+    fields.update(overrides)
+    return CampaignSpec.from_dict(fields)
 
 
 def sample_map(outcome):
@@ -114,16 +110,6 @@ class TestParallelExecution:
         parallel = execute_campaign(spec, max_workers=2)
         assert parallel.ok
         assert sample_map(parallel) == sample_map(serial)
-
-    def test_chunked_execution_equals_serial(self):
-        spec = small_spec()
-        serial = execute_campaign(spec, max_workers=1)
-        chunked = execute_campaign(spec, max_workers=2, chunksize=4)
-        assert sample_map(chunked) == sample_map(serial)
-
-    def test_bad_chunksize_rejected(self):
-        with pytest.raises(ExperimentError):
-            CampaignExecutor(chunksize=0)
 
 
 class TestMemoization:

@@ -1,5 +1,6 @@
 """Tests for campaign specs: expansion, hashing, dict/JSON loading."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -27,7 +28,7 @@ from repro.errors import ExperimentError
 
 
 def small_spec(**overrides):
-    defaults = dict(
+    fields = dict(
         name="test-campaign",
         workload="memcached",
         conditions={"SMToff": server_with_smt(False),
@@ -37,8 +38,8 @@ def small_spec(**overrides):
         runs=3,
         num_requests=80,
     )
-    defaults.update(overrides)
-    return CampaignSpec(**defaults)
+    fields.update(overrides)
+    return CampaignSpec.from_dict(fields)
 
 
 class TestHardwareConfigSerialization:
@@ -278,8 +279,81 @@ class TestValidation:
 
     def test_with_overrides(self):
         spec = small_spec().with_overrides(runs=7, base_seed=3)
-        assert spec.runs == 7 and spec.base_seed == 3
+        assert spec.runs == 7 and spec.plan.policy.base_seed == 3
         assert small_spec().runs == 3  # original untouched
+
+    def test_with_overrides_takes_campaign_file_keys(self):
+        assert small_spec().with_overrides(qps=(20_000,)).qps_list == (
+            20_000.0,)
+        with pytest.raises(ExperimentError,
+                           match="did you mean 'num_requests'"):
+            small_spec().with_overrides(num_request=5)
+
+
+class TestTemplatePlan:
+    """A campaign is a template plan plus client, server and qps axes."""
+
+    @staticmethod
+    def template(**policy):
+        return (experiment("memcached").load(num_requests=80)
+                .policy(runs=3, **policy).build())
+
+    @staticmethod
+    def campaign(plan):
+        return CampaignSpec(
+            name="template", plan=plan,
+            conditions={"SMToff": server_with_smt(False),
+                        "SMTon": server_with_smt(True)},
+            qps_list=(10_000, 50_000))
+
+    def test_fields_are_a_template_plus_axes(self):
+        assert [f.name for f in dataclasses.fields(CampaignSpec)] == [
+            "name", "plan", "conditions", "qps_list", "clients"]
+
+    def test_template_equals_file_form(self):
+        assert ([c.content_hash()
+                 for c in self.campaign(self.template()).expand()]
+                == [c.content_hash() for c in small_spec().expand()])
+
+    def test_observability_never_reaches_a_condition(self):
+        plain = self.campaign(self.template()).expand()
+        observed = self.campaign(self.template(
+            sink="streaming", trace=True, metrics=True)).expand()
+        for condition in observed:
+            policy = condition.plan.policy
+            assert (policy.sink, policy.trace, policy.metrics) == (
+                "columnar", False, False)
+        assert ([c.content_hash() for c in observed]
+                == [c.content_hash() for c in plain])
+        assert ([c.plan.content_hash() for c in observed]
+                == [c.plan.content_hash() for c in plain])
+
+    def test_template_workers_round_trip_into_every_key(self):
+        spec = self.campaign(self.template(workers=2))
+        rebuilt = CampaignSpec.from_json(spec.to_json())
+        assert rebuilt.to_dict() == spec.to_dict()
+        assert json.loads(spec.to_json())["workers"] == 2
+        # to_json sorts keys, so match conditions by cell, not order.
+        single = {(c.label, c.qps): c
+                  for c in self.campaign(self.template()).expand()}
+        for two in rebuilt.expand():
+            one = single.pop((two.label, two.qps))
+            assert two.to_dict()["workers"] == 2
+            assert two.content_hash() == ConditionSpec(
+                one.plan.with_policy(workers=2)).content_hash()
+        assert not single
+
+    def test_file_keys_are_what_to_dict_emits(self):
+        from repro.campaign.spec import _CAMPAIGN_KEYS
+
+        clustered = (self.template(engine="vectorized", workers=2)
+                     .with_cluster(nodes=2)
+                     .with_load(warmup_fraction=0.2, arrival={
+                         "shape": "diurnal", "period_us": 20_000.0}))
+        graphed = self.template().with_graph("memcached-cached")
+        emitted = (set(self.campaign(clustered).to_dict())
+                   | set(self.campaign(graphed).to_dict()))
+        assert emitted | {"qps"} == set(_CAMPAIGN_KEYS)
 
 
 def test_cell_seed_scheme_is_pinned():

@@ -10,7 +10,7 @@ from repro.errors import ExperimentError
 
 @pytest.fixture
 def spec():
-    return CampaignSpec(
+    return CampaignSpec.from_dict(dict(
         name="store-test",
         workload="memcached",
         conditions={"SMToff": server_with_smt(False)},
@@ -18,7 +18,7 @@ def spec():
         clients={"LP": LP_CLIENT},
         runs=2,
         num_requests=60,
-    )
+    ))
 
 
 @pytest.fixture
@@ -186,7 +186,7 @@ class TestClusterHashCoverage:
     def cluster_spec(self, policy, nodes=2):
         from repro.cluster import ClusterSpec
 
-        return CampaignSpec(
+        return CampaignSpec.from_dict(dict(
             name="cluster-store-test",
             workload="memcached",
             conditions={"SMToff": server_with_smt(False)},
@@ -195,7 +195,7 @@ class TestClusterHashCoverage:
             runs=1,
             num_requests=40,
             cluster=ClusterSpec(nodes=nodes, lb_policy=policy),
-        )
+        ))
 
     def test_lb_policy_never_collides_in_the_store(self, store):
         round_robin = self.cluster_spec("round-robin").expand()[0]
@@ -245,7 +245,7 @@ class TestGraphHashCoverage:
     def graph_spec(self, graph="memcached-cached", arrival=None):
         from repro.graph.presets import graph_preset
 
-        return CampaignSpec(
+        return CampaignSpec.from_dict(dict(
             name="graph-store-test",
             workload="memcached",
             conditions={"SMToff": server_with_smt(False)},
@@ -255,7 +255,7 @@ class TestGraphHashCoverage:
             num_requests=40,
             graph=graph_preset(graph) if graph else None,
             arrival=arrival,
-        )
+        ))
 
     def test_graph_never_collides_with_flat(self, spec):
         flat = spec.with_overrides(

@@ -105,6 +105,28 @@ class TestPlanSpecFile:
         assert "campaign 'file-plan'" in out
         assert "nothing executed" in out
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"runs": "three"}, "runs must be int, got 'three'"),
+        ({"qps": ["fast"]}, "qps must be float, got 'fast'"),
+        ({"qps": 50_000}, "qps_list must be a list of numbers, got 50000"),
+        ({"extra": {"warmup_fraction": "x"}},
+         "warmup_fraction must be float, got 'x'"),
+    ], ids=["runs-word", "qps-word", "qps-scalar", "warmup-word"])
+    def test_malformed_value_is_a_clean_error(self, tmp_path, capsys,
+                                              bad, message):
+        """A wrong-typed value fails like a misspelled key does: exit
+        1 with an ``error:`` line naming it, never a traceback."""
+        spec = {"name": "bad-value", "workload": "memcached",
+                "conditions": {"baseline": "baseline"},
+                "qps": [50_000], **bad}
+        path = tmp_path / "campaign.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run_cli(capsys, "plan", "--spec", str(path))
+        assert code == 1
+        assert err.startswith("error:")
+        assert message in err
+        assert "Traceback" not in err
+
     def test_hashes_match_campaign_expansion(self, tmp_path, capsys):
         """The dry run prints the same condition hashes the store
         would be keyed by."""

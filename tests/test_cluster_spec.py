@@ -234,17 +234,17 @@ class TestPlanIntegration:
 
 class TestCampaignIntegration:
     def base(self, **overrides):
-        defaults = dict(
+        fields = dict(
             name="cluster-test", workload="memcached",
             conditions={"baseline": SERVER_BASELINE},
             qps_list=(100_000,), clients={"LP": LP_CLIENT},
             runs=1, num_requests=50)
-        defaults.update(overrides)
-        return CampaignSpec(**defaults)
+        fields.update(overrides)
+        return CampaignSpec.from_dict(fields)
 
     def test_single_server_cluster_normalizes_to_none(self):
         spec = self.base(cluster=ClusterSpec())
-        assert spec.cluster is None
+        assert spec.plan.cluster.is_single_server
         assert "cluster" not in spec.to_dict()
 
     def test_expand_propagates_cluster(self):
@@ -257,7 +257,7 @@ class TestCampaignIntegration:
     def test_campaign_dict_round_trip_with_cluster(self):
         spec = self.base(cluster={"nodes": 2, "shards": 2})
         rebuilt = CampaignSpec.from_dict(spec.to_dict())
-        assert rebuilt.cluster == spec.cluster
+        assert rebuilt.plan.cluster == spec.plan.cluster
         assert rebuilt.content_hash() == spec.content_hash()
 
     def test_condition_dict_round_trip_with_cluster(self):

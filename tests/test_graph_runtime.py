@@ -223,12 +223,12 @@ class TestGraphTestbedEndToEnd:
         from repro.config.presets import LP_CLIENT, SERVER_BASELINE
         from repro.graph.presets import graph_preset
 
-        spec = CampaignSpec(
+        spec = CampaignSpec.from_dict(dict(
             name="graph-exec", workload="memcached",
             conditions={"baseline": SERVER_BASELINE},
             qps_list=(50_000.0,), clients={"LP": LP_CLIENT},
             runs=1, num_requests=60,
-            graph=graph_preset("memcached-cached"))
+            graph=graph_preset("memcached-cached")))
         outcome = execute_campaign(spec, max_workers=1,
                                    fail_fast=True)
         assert outcome.ok

@@ -219,7 +219,7 @@ def _store_key_campaign(**overrides):
                   conditions={"baseline": SERVER_BASELINE},
                   qps_list=(50_000.0,), runs=2, num_requests=100)
     fields.update(overrides)
-    return CampaignSpec(**fields).expand()
+    return CampaignSpec.from_dict(fields).expand()
 
 
 def _preset_campaign(name):
@@ -279,10 +279,10 @@ class TestPreGraphByteStability:
         from repro.campaign.spec import CampaignSpec
         from repro.config.presets import SERVER_BASELINE
 
-        spec = CampaignSpec(
+        spec = CampaignSpec.from_dict(dict(
             name="s", workload="memcached",
             conditions={"baseline": SERVER_BASELINE},
-            qps_list=(50_000.0,), runs=2, num_requests=100)
+            qps_list=(50_000.0,), runs=2, num_requests=100))
         assert spec.expand()[0].content_hash() == (
             "ff21ff72b22dbfe1d8b0942cd3bfb192"
             "6beeabff1987959bba9152f63d88b540")
@@ -336,10 +336,10 @@ class TestPreGraphByteStability:
         from repro.campaign.spec import CampaignSpec
         from repro.config.presets import SERVER_BASELINE
 
-        spec = CampaignSpec(
+        spec = CampaignSpec.from_dict(dict(
             name="s", workload="memcached",
             conditions={"baseline": SERVER_BASELINE},
-            qps_list=(50_000.0,), runs=1, num_requests=10)
+            qps_list=(50_000.0,), runs=1, num_requests=10))
         assert "graph" not in spec.to_dict()
         assert "arrival" not in spec.to_dict()
         condition = spec.expand()[0]

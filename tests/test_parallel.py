@@ -221,10 +221,10 @@ class TestWorkersByteStability:
         from repro.campaign.spec import CampaignSpec
         from repro.config.presets import SERVER_BASELINE
 
-        spec = CampaignSpec(
+        spec = CampaignSpec.from_dict(dict(
             name="s", workload="memcached",
             conditions={"baseline": SERVER_BASELINE},
-            qps_list=(50_000.0,), runs=2, num_requests=100)
+            qps_list=(50_000.0,), runs=2, num_requests=100))
         assert spec.expand()[0].content_hash() == (
             "ff21ff72b22dbfe1d8b0942cd3bfb192"
             "6beeabff1987959bba9152f63d88b540")
@@ -255,8 +255,8 @@ class TestWorkersByteStability:
         from repro.campaign.spec import CampaignSpec
         from repro.config.presets import SERVER_BASELINE
 
-        spec = CampaignSpec(
+        spec = CampaignSpec.from_dict(dict(
             name="s", workload="memcached",
             conditions={"baseline": SERVER_BASELINE},
-            qps_list=(50_000.0,), runs=1, num_requests=10)
+            qps_list=(50_000.0,), runs=1, num_requests=10))
         assert spec.expand()[0].to_plan().policy.workers == 1
