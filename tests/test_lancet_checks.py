@@ -86,3 +86,50 @@ class TestBattery:
         samples = rng.normal(100, 2, size=100)
         results = run_all_checks(gaps, samples)
         assert all(r.passed for r in results)
+
+
+def _constant_gaps():
+    gaps = np.full(200, 10.0)
+    gaps[0] = 10.5
+    return gaps
+
+
+#: (gap array, significance %, verdict, detail) pinned from the
+#: critical-value form of the test, so a change in how the verdict is
+#: computed cannot move a single decision or rounded critical value.
+AD_VERDICTS = [
+    (lambda: np.random.default_rng(7).exponential(10.0, 500), 5.0,
+     True, "A2=0.676 vs critical 1.319 @ 5.0%"),
+    (lambda: np.random.default_rng(7).uniform(9.0, 11.0, 500), 5.0,
+     False, "A2=204.072 vs critical 1.319 @ 5.0%"),
+    (_constant_gaps, 5.0,
+     False, "A2=91.659 vs critical 1.317 @ 5.0%"),
+    (lambda: np.random.default_rng(1).exponential(10.0, 500), 5.0,
+     True, "A2=0.400 vs critical 1.319 @ 5.0%"),
+    (lambda: np.random.default_rng(2).uniform(9.0, 11.0, 500), 5.0,
+     False, "A2=203.487 vs critical 1.319 @ 5.0%"),
+    (lambda: np.random.default_rng(3).exponential(1.0, 50), 5.0,
+     True, "A2=0.180 vs critical 1.305 @ 5.0%"),
+    (lambda: np.random.default_rng(4).exponential(5.0, 20), 1.0,
+     True, "A2=0.338 vs critical 1.902 @ 1.0%"),
+    (lambda: np.random.default_rng(5).exponential(2.0, 1000), 15.0,
+     True, "A2=0.797 vs critical 0.915 @ 15.0%"),
+    (lambda: np.random.default_rng(6).lognormal(0.0, 1.0, 300), 5.0,
+     False, "A2=2.413 vs critical 1.318 @ 5.0%"),
+    (lambda: np.random.default_rng(7).gamma(2.0, 1.0, 300), 10.0,
+     False, "A2=13.791 vs critical 1.060 @ 10.0%"),
+    (lambda: np.random.default_rng(8).weibull(1.5, 200), 2.5,
+     False, "A2=6.537 vs critical 1.586 @ 2.5%"),
+    (lambda: np.random.default_rng(9).exponential(1.0, 8), 5.0,
+     False, "A2=1.268 vs critical 1.229 @ 5.0%"),
+]
+
+
+@pytest.mark.parametrize("make_gaps, significance, passed, detail",
+                         AD_VERDICTS)
+def test_anderson_darling_verdicts_are_pinned(make_gaps, significance,
+                                              passed, detail):
+    result = anderson_darling_exponential(
+        make_gaps(), significance_pct=significance)
+    assert result.passed is passed
+    assert result.detail == detail
