@@ -593,6 +593,21 @@ class ExperimentPlan:
             return replace(self, graph=None)
         return replace(self, graph=spec, cluster=SINGLE_SERVER)
 
+    def with_fields(self, fields: Mapping[str, Any]) -> "ExperimentPlan":
+        """Copy with fields replaced by dotted path, in order.
+
+        Paths are those of :func:`repro.tune.tunables.validate_field`
+        (``policy.engine``, ``cluster.nodes``, ``workload.<param>``,
+        ``graph``, ``hardware.server.smt``), plus ``load.<field>`` and
+        a whole ``hardware.client``/``hardware.server`` config (preset
+        name or dict).  The copy is rebuilt through :meth:`from_dict`,
+        so every value is validated by the spec layer.
+        """
+        data = self.to_dict()
+        for path, value in fields.items():
+            _set_plan_field(data, self, path, value)
+        return ExperimentPlan.from_dict(data)
+
     def with_seed(self, base_seed: int) -> "ExperimentPlan":
         """Copy starting from a different base seed."""
         return self.with_policy(base_seed=int(base_seed))
@@ -682,3 +697,44 @@ class ExperimentPlan:
         """Run :meth:`variants` and return their results, in order."""
         return [plan.run() for plan in self.variants(
             qps=qps, **param_axes)]
+
+
+def _set_plan_field(data: Dict[str, Any], plan: ExperimentPlan,
+                    field: str, value: Any) -> None:
+    """Write one dotted-path value into a plan dict, in place.
+
+    The dict is ``plan.to_dict()``, which omits default sections
+    (single-server cluster, default policy knobs) -- absent sections
+    are materialized before patching so the write always lands.
+    """
+    if field == "graph":
+        if isinstance(value, str):
+            from repro.graph.presets import graph_preset
+            value = graph_preset(value).to_dict()
+        data["graph"] = value
+        # A graph carries its own topology; the plan layer rejects
+        # graph + non-default cluster.
+        data.pop("cluster", None)
+        return
+    section, _, rest = field.partition(".")
+    if section == "workload":
+        data["workload"].setdefault("params", {})[rest] = value
+    elif section == "load":
+        data["load"][rest] = value
+    elif section == "hardware":
+        target, _, knob = rest.partition(".")
+        if knob:
+            config = dict(data["hardware"][target])
+            config[knob] = value
+        else:
+            # A whole config: its label follows the new config's name.
+            config = value
+            data["hardware"].pop(f"{target}_label", None)
+        data["hardware"][target] = config
+    elif section == "policy":
+        data.setdefault("policy", {})[rest] = value
+    elif section == "cluster":
+        cluster = data.setdefault("cluster", plan.cluster.to_dict())
+        cluster[rest] = value
+    else:
+        raise SpecValidationError(f"unroutable plan field {field!r}")

@@ -1,8 +1,11 @@
 """Command-line interface.
 
-Eleven subcommands mirror the library's faces::
+Eight subcommands mirror the library's faces::
 
     repro run --workload memcached --qps 100000 --workers 4
+    repro run --workload memcached --nodes 4 --policy power-of-two
+    repro run --graph memcached-cached --arrival diurnal
+    repro run --workload memcached --trace --runs 1 --output trace.json
     repro study --workload memcached --knob smt --qps 10000 100000
     repro tune --config HP [--real] [--apply]
     repro autotune --tunable hardware.server.smt=bool --search grid
@@ -10,68 +13,127 @@ Eleven subcommands mirror the library's faces::
     repro capacity --qos-p99 400 --target-qps 1000000
     repro campaign run --preset memcached-smt --store results.sqlite
     repro plan --preset memcached-smt
-    repro cluster --workload memcached --nodes 4 --policy power-of-two
-    repro graph --graph memcached-cached --arrival diurnal
-    repro trace --workload memcached --output trace.json
 
-``repro run`` executes one experiment -- optionally sharded across
-worker processes with ``--workers`` (see :mod:`repro.parallel`) --
-and prints the repetition summary; ``repro study`` runs a scaled
-study grid and prints the paper-style series; ``repro tune`` plans
-(and optionally applies) a host configuration; ``repro autotune``
-searches a declared tunable space for the max-capacity configuration
-(see :mod:`repro.tune`); ``repro recommend``
-prints the Section VI advice;
+``repro run`` executes one experiment and prints the repetition
+summary.  What it prints follows from the plan it builds: a cluster
+topology (``--nodes``/``--shards``/...) adds per-node utilization, a
+service graph (``--graph``) its tiers and cache/retry/hedge counters,
+``--trace`` a Chrome trace-event JSON of the first repetition (load
+it at https://ui.perfetto.dev) plus a per-stage latency breakdown,
+and ``--workers`` shards each run across worker processes (see
+:mod:`repro.parallel`).  ``repro study`` runs a scaled study grid and
+prints the paper-style series; ``repro tune`` plans (and optionally
+applies) a host configuration; ``repro autotune`` searches a
+declared tunable space for the max-capacity configuration (see
+:mod:`repro.tune`); ``repro recommend`` prints the Section VI advice;
 ``repro capacity`` runs the provisioning analysis of Section V-A;
 ``repro campaign`` runs declarative experiment sweeps in parallel
 against a persistent result store (``run``/``status``/``report``) --
 killed campaigns resume, finished ones are served from cache; ``repro
 plan`` validates and expands a campaign into its condition list with
 content hashes and seed schedules *without running anything* (the
-dry run for expensive sweeps); ``repro cluster`` deploys a workload
-on a load-balanced, optionally sharded multi-server topology and
-reports fan-out tail latency plus per-node utilization; ``repro
-graph`` deploys a workload on a multi-tier service-graph topology
-(cache tiers, tail-resilience policies, optionally time-varying
-load) and reports tail latency plus cache/retry/hedge counters;
-``repro trace`` runs one experiment with request-lifecycle tracing on and
-writes a Chrome trace-event JSON (load it at https://ui.perfetto.dev)
-plus a per-stage latency-breakdown table.
+dry run for expensive sweeps).
 
 Every experiment the CLI launches is constructed through the
-:mod:`repro.api` plan layer.
+:mod:`repro.api` plan layer, and every flag that sets a plan field is
+declared once, in :data:`PLAN_FLAGS`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import textwrap
 from dataclasses import replace
-from typing import List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.analysis.figures import (
-    hdsearch_study,
-    memcached_study,
-    render_latency_series,
-    render_ratio_series,
-    socialnetwork_study,
-)
+from repro.cluster.spec import LB_POLICIES
 from repro.config.presets import client_by_name
-from repro.core.provisioning import (
-    capacity_under_qos,
-    provisioning_error,
-    provisioning_plan,
+from repro.errors import ExperimentError, ReproError
+
+#: ``--arrival`` shapes, as :class:`~repro.api.ArrivalSpec` dicts.
+ARRIVAL_SHAPES: Dict[str, Optional[Dict[str, Any]]] = {
+    "poisson": None,
+    "diurnal": {"shape": "diurnal", "period_us": 20_000.0,
+                "amplitude": 0.5},
+    "flash-crowd": {"shape": "flash-crowd", "spike_start_us": 5_000.0,
+                    "spike_duration_us": 5_000.0, "spike_factor": 4.0},
+}
+
+
+def _arrival(name: str) -> Optional[Dict[str, Any]]:
+    if name not in ARRIVAL_SHAPES:
+        raise argparse.ArgumentTypeError(
+            f"choose from {', '.join(ARRIVAL_SHAPES)}")
+    return ARRIVAL_SHAPES[name]
+
+
+#: Every flag that sets a plan field: ``(flag, dotted plan path, type,
+#: help)``.  The path is the parsed dest, as in
+#: :func:`repro.tune.tunables.validate_field`; verbs pick their rows
+#: with :func:`_add_plan_flags` and read them back with
+#: :func:`_plan_overrides`, which applies them in this order (``graph``
+#: before the cluster rows, so a graph plus a cluster is an error
+#: rather than a silently dropped topology).
+PLAN_FLAGS = (
+    ("--workload", "workload", str, "registered workload name"),
+    ("--client", "hardware.client", str, "client preset (LP or HP)"),
+    ("--qps", "load.qps", float, "offered load(s) (run default: the "
+     "workload's, times --nodes)"),
+    ("--requests", "load.num_requests", int, "requests per run"),
+    ("--arrival", "load.arrival", _arrival,
+     "poisson (default), diurnal or flash-crowd"),
+    ("--runs", "policy.runs", int, "repetitions (the paper: 50)"),
+    ("--seed", "policy.base_seed", int, "base seed of the repetitions"),
+    ("--sink", "policy.sink", str, "telemetry sink: columnar, streaming"),
+    ("--trace", "policy.trace", bool, "record request-lifecycle spans "
+     "('repro run' writes a Chrome trace to --output)"),
+    ("--engine", "policy.engine", str, "reference or vectorized"),
+    ("--workers", "policy.workers", int, "shard width W: W striped "
+     "full-replica shards at qps/W (part of the plan hash)"),
+    ("--graph", "graph", str, "service-graph preset, e.g. "
+     "memcached-cached (harvests the tier counters)"),
+    ("--nodes", "cluster.nodes", int, "server groups behind the LB"),
+    ("--policy", "cluster.lb_policy", str,
+     "load-balancing policy: " + ", ".join(LB_POLICIES)),
+    ("--shards", "cluster.shards", int, "shards per server group"),
+    ("--fanout", "cluster.fanout", int, "shards per request (0 = all)"),
+    ("--quorum", "cluster.quorum", int, "responses that complete a "
+     "request (0 = fanout)"),
+    ("--replication", "cluster.replication", int, "replicas per shard"),
 )
-from repro.core.recommendations import recommend
-from repro.host.filesystem import (
-    FakeFilesystem,
-    RealFilesystem,
-    make_skylake_tree,
-)
-from repro.host.tuner import HostTuner
-from repro.loadgen.base import GeneratorDesign
+
+
+#: Latency metrics a rendered series can show.
+METRICS = ["avg", "p99", "true_avg", "stdev_avg"]
+
+
+def _add_plan_flags(parser, *flags: str, sweep: bool = False,
+                    defaults: Optional[Mapping[str, Any]] = None
+                    ) -> None:
+    """Declare the :data:`PLAN_FLAGS` rows named by *flags*.
+
+    ``sweep`` makes ``--qps`` a list (a load sweep); *defaults* maps
+    a flag to the verb's default (unset flags keep the plan's).
+    """
+    defaults = defaults or {}
+    for flag, path, kind, help_text in PLAN_FLAGS:
+        if flag not in flags:
+            continue
+        shape = (dict(action="store_true") if kind is bool else dict(
+            type=kind, metavar=flag[2:].upper(),
+            nargs="+" if sweep and flag == "--qps" else None))
+        parser.add_argument(flag, dest=path, default=defaults.get(flag),
+                            help=help_text, **shape)
+
+
+def _plan_overrides(args: argparse.Namespace) -> Dict[str, Any]:
+    """Dotted plan path -> value of every plan flag that is set."""
+    values = vars(args)
+    return {path: values[path] for _, path, _, _ in PLAN_FLAGS
+            if values.get(path) is not None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,64 +144,35 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     run = commands.add_parser(
-        "run", help="run one experiment, optionally sharded across "
-                    "worker processes")
-    run.add_argument("--workload", default="memcached",
-                     help="registered workload name")
-    run.add_argument("--client", default="LP",
-                     help="client preset (LP or HP)")
-    run.add_argument("--qps", type=float, default=None,
-                     help="offered load (default: the workload's)")
-    run.add_argument("--requests", type=int, default=None,
-                     help="requests per run "
-                          "(default: the workload's)")
-    run.add_argument("--runs", type=int, default=5,
-                     help="repetitions (the paper: 50)")
-    run.add_argument("--seed", type=int, default=0,
-                     help="base seed for the repetition protocol")
-    run.add_argument("--workers", type=int, default=1,
-                     help="shard width W: decompose each run into W "
-                          "striped full-replica shards at qps/W "
-                          "(part of the plan's content hash)")
+        "run", help="run one experiment on one server, a cluster or a "
+                    "service graph, optionally traced or sharded")
+    _add_plan_flags(run, *(row[0] for row in PLAN_FLAGS), defaults={
+        "--workload": "memcached", "--client": "LP", "--runs": 5,
+        "--policy": "power-of-two"})
     run.add_argument("--processes", type=int, default=None,
                      help="processes to spread shards over (default: "
-                          "min(workers, cores); 1 = serial placement, "
-                          "bit-identical to any other)")
-    run.add_argument("--sink", default=None,
-                     help="telemetry sink (columnar or streaming)")
-    run.add_argument("--engine", default=None,
-                     help="event-loop engine (reference or "
-                          "vectorized)")
+                          "min(workers, cores); placement-invariant)")
+    run.add_argument("--output", "-o", default="trace.json",
+                     help="Chrome trace JSON output path (--trace)")
 
     study = commands.add_parser(
         "study", help="run a client-vs-server study grid")
-    study.add_argument("--workload", default="memcached",
-                       choices=["memcached", "hdsearch",
-                                "socialnetwork"])
-    study.add_argument("--knob", default="smt",
-                       choices=["smt", "c1e"],
+    _add_plan_flags(study, "--workload", "--qps", "--runs", "--requests",
+                    "--seed", sweep=True, defaults={
+                        "--workload": "memcached", "--runs": 10,
+                        "--qps": [10_000, 100_000, 500_000],
+                        "--requests": 500, "--seed": 0})
+    study.add_argument("--knob", default="smt", choices=["smt", "c1e"],
                        help="server-side knob under study")
-    study.add_argument("--qps", type=float, nargs="+",
-                       default=[10_000, 100_000, 500_000])
-    study.add_argument("--runs", type=int, default=10)
-    study.add_argument("--requests", type=int, default=500)
-    study.add_argument("--metric", default="avg",
-                       choices=["avg", "p99", "true_avg", "stdev_avg"])
-    study.add_argument("--seed", type=int, default=0,
-                       help="base seed for the repetition protocol")
+    study.add_argument("--metric", default="avg", choices=METRICS)
 
-    tune = commands.add_parser(
-        "tune",
-        help="plan/apply a host configuration (the measurement-"
-             "config advisor; for the capacity optimizer see "
-             "'repro autotune')",
-        description="Plan (and optionally apply) the paper's "
-                    "measurement host configuration on /sys.  To "
-                    "*search* the simulated policy space for a "
-                    "max-capacity configuration instead, see "
-                    "'repro autotune'.")
-    tune.add_argument("--config", default="HP",
-                      help="LP or HP")
+    about_tune = ("plan (and optionally apply) the paper's measurement "
+                  "host configuration on /sys; to *search* the "
+                  "simulated policy space for a max-capacity "
+                  "configuration instead, see 'repro autotune'")
+    tune = commands.add_parser("tune", help=about_tune,
+                               description=about_tune)
+    tune.add_argument("--config", default="HP", help="LP or HP")
     tune.add_argument("--real", action="store_true",
                       help="operate on the live /sys and /dev/cpu "
                            "(requires root) instead of a fake host")
@@ -164,13 +197,11 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="99th-percentile QoS target in us")
     capacity.add_argument("--target-qps", type=float,
                           default=1_000_000.0)
-    capacity.add_argument("--qps", type=float, nargs="+",
-                          default=[100_000, 200_000, 300_000,
-                                   400_000, 500_000])
-    capacity.add_argument("--runs", type=int, default=10)
-    capacity.add_argument("--requests", type=int, default=500)
-    capacity.add_argument("--seed", type=int, default=0,
-                          help="base seed for the repetition protocol")
+    _add_plan_flags(capacity, "--qps", "--runs", "--requests", "--seed",
+                    sweep=True, defaults={
+                        "--qps": [100_000, 200_000, 300_000, 400_000,
+                                  500_000],
+                        "--runs": 10, "--requests": 500, "--seed": 0})
 
     campaign = commands.add_parser(
         "campaign", help="parallel, resumable experiment sweeps")
@@ -181,26 +212,11 @@ def _build_parser() -> argparse.ArgumentParser:
             ("status", "show completion state against the store"),
             ("report", "render paper-style series from the store")):
         sub = campaign_commands.add_parser(verb, help=help_text)
-        source = sub.add_mutually_exclusive_group(required=True)
-        source.add_argument("--spec", metavar="FILE",
-                            help="campaign spec JSON file")
-        source.add_argument("--preset",
-                            help="named preset, e.g. memcached-smt "
-                                 "(see repro.campaign.presets)")
+        _add_campaign_source(sub)
         sub.add_argument("--store", default="campaign-results.sqlite",
                          help="SQLite result store path")
-        sub.add_argument("--qps", type=float, nargs="+", default=None,
-                         help="override the spec's QPS sweep")
-        sub.add_argument("--runs", type=int, default=None,
-                         help="override repetitions per condition")
-        sub.add_argument("--requests", type=int, default=None,
-                         help="override requests per run")
-        sub.add_argument("--seed", type=int, default=None,
-                         help="override the campaign base seed")
-        sub.add_argument("--engine", default=None,
-                         help="event-loop engine (reference or "
-                              "vectorized; validated before any "
-                              "condition runs)")
+        _add_plan_flags(sub, "--qps", "--runs", "--requests", "--seed",
+                        "--engine", sweep=True)
         if verb == "run":
             parallelism = sub.add_mutually_exclusive_group()
             parallelism.add_argument(
@@ -210,215 +226,184 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--serial", action="store_true",
                 help="run inline in this process")
         if verb == "report":
-            sub.add_argument("--metric", default="avg",
-                             choices=["avg", "p99", "true_avg",
-                                      "stdev_avg"])
+            sub.add_argument("--metric", default="avg", choices=METRICS)
 
     plan = commands.add_parser(
         "plan", help="validate + expand a campaign without running "
                      "(dry run)")
-    plan_source = plan.add_mutually_exclusive_group(required=True)
-    plan_source.add_argument("--spec", metavar="FILE",
-                             help="campaign spec JSON file")
-    plan_source.add_argument("--preset",
-                             help="named preset, e.g. memcached-smt")
-    plan_source.add_argument("--workload",
-                             help="build an ad-hoc campaign for this "
-                                  "workload instead")
-    plan.add_argument("--knob", default=None,
-                      choices=["smt", "c1e"],
+    # --workload: an ad-hoc campaign instead of --spec/--preset.
+    _add_plan_flags(_add_campaign_source(plan), "--workload")
+    plan.add_argument("--knob", default=None, choices=["smt", "c1e"],
                       help="server knob for an ad-hoc --workload "
                            "campaign (default: baseline server only)")
     plan.add_argument("--clients", nargs="+", default=None,
-                      metavar="NAME",
-                      help="client presets for an ad-hoc campaign "
-                           "(default: LP HP)")
+                      metavar="NAME", help="client presets for an "
+                                           "ad-hoc campaign (LP HP)")
     plan.add_argument("--param", action="append", default=[],
-                      metavar="KEY=VALUE",
-                      help="workload parameter, e.g. "
-                           "added_delay_us=200 (repeatable)")
-    plan.add_argument("--qps", type=float, nargs="+", default=None,
-                      help="override the QPS sweep")
-    plan.add_argument("--runs", type=int, default=None,
-                      help="override repetitions per condition")
-    plan.add_argument("--requests", type=int, default=None,
-                      help="override requests per run")
-    plan.add_argument("--seed", type=int, default=None,
-                      help="override the campaign base seed")
-    plan.add_argument("--sink", default=None,
-                      help="telemetry sink the run policy would use "
-                           "(columnar or streaming)")
-    plan.add_argument("--trace", action="store_true",
-                      help="preview the policy with lifecycle "
-                           "tracing on")
-    plan.add_argument("--engine", default=None,
-                      help="event-loop engine the conditions would "
-                           "run on (reference or vectorized)")
-    plan.add_argument("--graph", default=None, metavar="PRESET",
-                      help="service-graph preset for an ad-hoc "
-                           "--workload campaign (validated with "
-                           "did-you-mean before expansion)")
+                      metavar="KEY=VALUE", help="workload parameter, "
+                      "e.g. added_delay_us=200 (repeatable)")
+    _add_plan_flags(plan, "--qps", "--runs", "--requests", "--seed",
+                    "--sink", "--trace", "--engine", "--graph",
+                    sweep=True)
     plan.add_argument("--tunable", action="append", default=None,
                       metavar="FIELD=SPEC",
                       help="validate an autotune tunable against the "
-                           "campaign's plans (repeatable; unknown "
-                           "fields fail with a did-you-mean before "
-                           "anything executes -- see "
+                           "campaign's plans (repeatable; see "
                            "'repro autotune')")
-
-    from repro.cluster.spec import LB_POLICIES
-    cluster = commands.add_parser(
-        "cluster", help="run a workload on a multi-server cluster "
-                        "topology")
-    cluster.add_argument("--workload", default="memcached",
-                         help="registered workload name")
-    cluster.add_argument("--nodes", type=int, default=4,
-                         help="server groups behind the load balancer")
-    cluster.add_argument("--policy", default="power-of-two",
-                         choices=list(LB_POLICIES),
-                         help="load-balancing policy")
-    cluster.add_argument("--shards", type=int, default=1,
-                         help="shard stations per server group")
-    cluster.add_argument("--fanout", type=int, default=0,
-                         help="shards touched per request (0 = all)")
-    cluster.add_argument("--quorum", type=int, default=0,
-                         help="responses completing a request "
-                              "(0 = all of fanout)")
-    cluster.add_argument("--replication", type=int, default=1,
-                         help="replicas per shard")
-    cluster.add_argument("--client", default="LP",
-                         help="client preset (LP or HP)")
-    cluster.add_argument("--qps", type=float, default=None,
-                         help="aggregate offered load (default: the "
-                              "workload's default, scaled by nodes)")
-    cluster.add_argument("--runs", type=int, default=5)
-    cluster.add_argument("--requests", type=int, default=500)
-    cluster.add_argument("--seed", type=int, default=0,
-                         help="base seed for the repetition protocol")
-
-    from repro.graph.presets import graph_preset_names
-    graph = commands.add_parser(
-        "graph", help="run a workload on a multi-tier service-graph "
-                      "topology (cache tiers + resilience policies)")
-    graph.add_argument("--workload", default="memcached",
-                       help="registered workload name")
-    graph.add_argument("--graph", default="memcached-cached",
-                       metavar="PRESET",
-                       help="graph topology preset: "
-                            + ", ".join(graph_preset_names()))
-    graph.add_argument("--client", default="LP",
-                       help="client preset (LP or HP)")
-    graph.add_argument("--qps", type=float, default=None,
-                       help="offered load (default: the workload's)")
-    graph.add_argument("--arrival", default=None,
-                       choices=["poisson", "diurnal", "flash-crowd"],
-                       help="arrival process shape "
-                            "(default: stationary Poisson)")
-    graph.add_argument("--runs", type=int, default=5)
-    graph.add_argument("--requests", type=int, default=500)
-    graph.add_argument("--seed", type=int, default=0,
-                       help="base seed for the repetition protocol")
-    graph.add_argument("--engine", default=None,
-                       help="event-loop engine (reference or "
-                            "vectorized)")
-
-    trace = commands.add_parser(
-        "trace", help="run one traced experiment and export a "
-                      "Chrome trace (Perfetto-loadable)")
-    trace.add_argument("--workload", default="memcached",
-                       help="registered workload name")
-    trace.add_argument("--client", default="LP",
-                       help="client preset (LP or HP)")
-    trace.add_argument("--qps", type=float, default=None,
-                       help="offered load (default: the workload's)")
-    trace.add_argument("--requests", type=int, default=None,
-                       help="requests to simulate "
-                            "(default: the workload's)")
-    trace.add_argument("--seed", type=int, default=0,
-                       help="root seed for the traced run")
-    trace.add_argument("--sink", default=None,
-                       help="telemetry sink (columnar or streaming)")
-    trace.add_argument("--engine", default=None,
-                       help="event-loop engine (reference or "
-                            "vectorized); the engine.kernel.* metrics "
-                            "report batch-dequeue engagement")
-    trace.add_argument("--output", "-o", default="trace.json",
-                       help="Chrome trace JSON output path")
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    """Run one experiment (optionally sharded) and summarize it."""
-    from repro.api import experiment
-    from repro.errors import ReproError
+def _add_campaign_source(parser):
+    """The required ``--spec FILE | --preset NAME`` choice."""
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--spec", metavar="FILE",
+                        help="campaign spec JSON file")
+    source.add_argument("--preset", help="named preset, e.g. "
+                                         "memcached-smt")
+    return source
 
-    try:
-        builder = (experiment(args.workload)
-                   .client(client_by_name(args.client)))
-        load_kwargs = {}
-        if args.qps is not None:
-            load_kwargs["qps"] = args.qps
-        if args.requests is not None:
-            load_kwargs["num_requests"] = args.requests
-        if load_kwargs:
-            builder = builder.load(**load_kwargs)
-        plan = (builder
-                .policy(runs=args.runs, base_seed=args.seed,
-                        sink=args.sink, engine=args.engine,
-                        workers=args.workers)
-                .build())
-        if plan.policy.workers > 1:
-            from repro.parallel.runner import run_sharded
-            result = run_sharded(plan, processes=args.processes)
-        else:
-            result = plan.run()
-        avg = float(np.median(result.avg_samples()))
-        p99 = float(np.median(result.p99_samples()))
-        true_p99 = float(np.median(result.true_p99_samples()))
-        sharding = (f", {plan.policy.workers} shard workers"
-                    if plan.policy.workers > 1 else "")
-        print(f"{args.workload} @ {plan.load.qps:g} QPS "
-              f"({plan.policy.runs} runs x "
-              f"{plan.load.num_requests} requests, "
-              f"seed {args.seed}{sharding})")
-        print(f"plan hash: {plan.content_hash()[:12]}")
-        print(f"  median avg latency:  {avg:10.1f} us")
-        print(f"  median p99 latency:  {p99:10.1f} us")
-        print(f"  median true p99:     {true_p99:10.1f} us")
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    """Run one experiment and print the sections its plan calls for."""
+    from repro.api import experiment
+    from repro.core.experiment import Experiment
+
+    overrides = _plan_overrides(args)
+    graph_name = overrides.get("graph")
+    if graph_name is not None:
+        # The tier counters printed below are harvested metrics.
+        overrides["policy.metrics"] = True
+    plan = experiment(overrides.pop("workload")).build()
+    plan = plan.with_fields(overrides)
+    if "load.qps" not in overrides:
+        # A cluster's default offer scales with its server groups.
+        plan = plan.with_qps(plan.load.qps * plan.cluster.nodes)
+    policy = plan.policy
+    traced = []
+    if policy.workers > 1:
+        if policy.trace:
+            raise ExperimentError(
+                "--trace exports one process's spans; drop --workers")
+        from repro.parallel.runner import run_sharded
+        result = run_sharded(plan, processes=args.processes)
+    elif policy.trace:
+        build = plan.builder()
+
+        def build_first_traced(seed: int):
+            testbed = build(seed)
+            if not traced:
+                traced.append(testbed)
+            return testbed
+
+        result = Experiment(build_first_traced, policy.runs,
+                            policy.base_seed, policy.label).run()
+    else:
+        result = plan.run()
+
+    workload = plan.workload.name
+    where = (f" on service graph {graph_name!r}" if graph_name
+             else "" if plan.cluster.is_single_server
+             else f" on {plan.cluster.describe()}")
+    sharding = (f", {policy.workers} shard workers"
+                if policy.workers > 1 else "")
+    print(f"{workload}{where} @ {plan.load.qps:g} QPS "
+          f"({policy.runs} runs x {plan.load.num_requests} requests, "
+          f"seed {policy.base_seed}{sharding})")
+    if plan.graph is not None:
+        print(textwrap.indent(plan.graph.describe(), "  "))
+    if plan.load.arrival is not None:
+        print(f"arrival process: {plan.load.arrival.describe()}")
+    print(f"plan hash: {plan.content_hash()[:12]}")
+    for label, samples in (("avg latency:", result.avg_samples()),
+                           ("p99 latency:", result.p99_samples()),
+                           ("true p99:", result.true_p99_samples())):
+        print(f"  median {label:<14}{np.median(samples):10.1f} us")
+    if plan.cluster.is_single_server:
         print(f"  server utilization:  "
               f"{result.mean_server_utilization():10.3f}")
-        return 0
-    except (ReproError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    else:
+        print(f"  per-node utilization "
+              f"(mean {result.mean_server_utilization():.3f}):")
+        for index, value in enumerate(result.mean_node_utilizations()):
+            print(f"    node {index}: {value:.3f}")
+    first = result.runs[0]
+    _print_counters(f"  tier counters (seed {first.seed} run):", first,
+                    ("cache.", "resilience."), indent="    ")
+    if traced:
+        _print_trace(traced[0], first, args.output,
+                     label=f"{workload} @ {plan.load.qps:g} QPS "
+                           f"(seed {first.seed})")
+    return 0
+
+
+def _print_trace(testbed, metrics, path: str, label: str) -> None:
+    """Write one traced run's Chrome trace; print its breakdowns."""
+    from repro.obs.export import (
+        latency_breakdown,
+        render_breakdown_table,
+        write_chrome_trace,
+    )
+
+    tracer = testbed.sim.obs.tracer
+    payload = write_chrome_trace(tracer, path, label=label)
+    print(f"wrote {len(payload['traceEvents'])} trace events to "
+          f"{path} (load at https://ui.perfetto.dev)")
+    if tracer.dropped:
+        print(f"warning: {tracer.dropped} spans dropped at the "
+              f"{tracer.max_spans} span cap")
+    breakdown = latency_breakdown(tracer)
+    print()
+    print(render_breakdown_table(
+        breakdown, breakdown.get("request", {}).get("total_us")))
+    _print_counters("\nvectorized kernel engagement:", metrics,
+                    ("engine.kernel.",), indent="  ")
+
+
+def _print_counters(title: str, metrics, prefixes, indent: str) -> None:
+    """The run's harvested counters named by *prefixes*, if any."""
+    rows = [(name, value) for name, value in metrics.obs_metrics
+            if name.startswith(prefixes)]
+    if rows:
+        print(title)
+        for name, value in rows:
+            print(f"{indent}{name:<34} {value:>12g}")
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
+    from repro.analysis import figures
+
+    plan = _plan_overrides(args)
+    sweep = dict(qps_list=plan["load.qps"], runs=plan["policy.runs"],
+                 num_requests=plan["load.num_requests"],
+                 base_seed=plan["policy.base_seed"])
     builders = {
-        "memcached": lambda: memcached_study(
-            knob=args.knob, qps_list=args.qps, runs=args.runs,
-            num_requests=args.requests, base_seed=args.seed),
-        "hdsearch": lambda: hdsearch_study(
-            knob=args.knob, qps_list=args.qps, runs=args.runs,
-            num_requests=args.requests, base_seed=args.seed),
-        "socialnetwork": lambda: socialnetwork_study(
-            qps_list=args.qps, runs=args.runs,
-            num_requests=args.requests, base_seed=args.seed),
+        "memcached": lambda: figures.memcached_study(
+            knob=args.knob, **sweep),
+        "hdsearch": lambda: figures.hdsearch_study(
+            knob=args.knob, **sweep),
+        "socialnetwork": lambda: figures.socialnetwork_study(**sweep),
     }
-    grid = builders[args.workload]()
-    print(render_latency_series(grid, args.metric))
+    if plan["workload"] not in builders:
+        raise ExperimentError(
+            f"no study for workload {plan['workload']!r}; choose from "
+            f"{', '.join(builders)}")
+    grid = builders[plan["workload"]]()
+    print(figures.render_latency_series(grid, args.metric))
     conditions = list(grid.conditions)
     if len(conditions) == 2:
         print()
-        print(render_ratio_series(
+        print(figures.render_ratio_series(
             grid, conditions[0], conditions[1], "avg"))
     return 0
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
+    from repro.host import filesystem
+    from repro.host.tuner import HostTuner
+
     config = client_by_name(args.config)
-    fs = RealFilesystem() if args.real else FakeFilesystem(
-        make_skylake_tree())
+    fs = (filesystem.RealFilesystem() if args.real else
+          filesystem.FakeFilesystem(filesystem.make_skylake_tree()))
     tuner = HostTuner(fs)
     plan = tuner.plan(config)
     print(plan.render())
@@ -441,6 +426,9 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
 
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
+    from repro.core.recommendations import recommend
+    from repro.loadgen.base import GeneratorDesign
+
     design = GeneratorDesign(
         loop=args.loop,
         time_sensitive=args.interarrival == "block-wait")
@@ -455,23 +443,20 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
     from repro.api import experiment
+    from repro.core import provisioning
 
+    overrides = _plan_overrides(args)
+    sweep = overrides.pop("load.qps")
     observers = {}
     for name in ("LP", "HP"):
-        config = client_by_name(name)
-        base_plan = (experiment("memcached")
-                     .client(config)
-                     .load(num_requests=args.requests)
-                     .policy(runs=args.runs, base_seed=args.seed)
-                     .build())
+        base_plan = experiment("memcached").build().with_fields(
+            {**overrides, "hardware.client": name})
         latency_by_qps = {}
-        for qps in args.qps:
+        for qps in sweep:
             result = base_plan.with_qps(qps).run()
-            latency_by_qps[qps] = float(
-                np.median(result.p99_samples()))
-        observers[name] = capacity_under_qos(
+            latency_by_qps[qps] = float(np.median(result.p99_samples()))
+        capacity = observers[name] = provisioning.capacity_under_qos(
             latency_by_qps, args.qos_p99, metric="p99")
-        capacity = observers[name]
         print(f"{name}: capacity {capacity.capacity_qps:g} QPS under "
               f"p99 <= {args.qos_p99:g} us"
               + (" (sweep-limited)" if capacity.sweep_limited else ""))
@@ -479,31 +464,24 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     usable = {name: cap for name, cap in observers.items()
               if cap.capacity_qps > 0}
     if len(usable) >= 2:
-        ratios = provisioning_error(usable, args.target_qps)
+        ratios = provisioning.provisioning_error(usable, args.target_qps)
         print(f"\nFleet sizes for {args.target_qps:g} QPS:")
         for name, capacity in usable.items():
-            plan = provisioning_plan(args.target_qps, capacity)
+            plan = provisioning.provisioning_plan(args.target_qps,
+                                                  capacity)
             print(f"  {name}: {plan.machines} machines "
                   f"({ratios[name]:.2f}x the optimistic observer)")
     return 0
 
 
-def _spec_overrides(args: argparse.Namespace) -> dict:
-    """CampaignSpec overrides from the shared CLI flags."""
-    overrides = {}
-    if args.qps is not None:
-        overrides["qps_list"] = tuple(args.qps)
-    if args.runs is not None:
-        overrides["runs"] = args.runs
-    if args.requests is not None:
-        overrides["num_requests"] = args.requests
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if getattr(args, "engine", None) is not None:
-        # Validated when the campaign is built -- an unknown name
-        # fails with a did-you-mean before any condition executes.
-        overrides["engine"] = args.engine
-    return overrides
+def _with_plan_flags(spec, args: argparse.Namespace):
+    """*spec* with the plan flags applied: ``--qps`` replaces the load
+    sweep, every other flag sets its field of the template plan."""
+    overrides = _plan_overrides(args)
+    overrides.pop("workload", None)
+    qps_list = overrides.pop("load.qps", None) or spec.qps_list
+    return replace(spec, plan=spec.plan.with_fields(overrides),
+                   qps_list=qps_list)
 
 
 def _load_campaign_spec(args: argparse.Namespace):
@@ -511,12 +489,9 @@ def _load_campaign_spec(args: argparse.Namespace):
     from repro.campaign.presets import campaign_by_name
     from repro.campaign.spec import CampaignSpec
 
-    if args.spec:
-        spec = CampaignSpec.load(args.spec)
-    else:
-        spec = campaign_by_name(args.preset)
-    overrides = _spec_overrides(args)
-    return spec.with_overrides(**overrides) if overrides else spec
+    spec = (CampaignSpec.load(args.spec) if args.spec
+            else campaign_by_name(args.preset))
+    return _with_plan_flags(spec, args)
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -526,63 +501,53 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         render_campaign_status,
     )
     from repro.campaign.store import ResultStore, require_store
-    from repro.errors import ReproError
 
-    try:
-        spec = _load_campaign_spec(args)
-        if args.campaign_command == "run":
-            workers = 1 if args.serial else args.workers
-            with ResultStore(args.store) as store:
-                executor = CampaignExecutor(
-                    store=store, max_workers=workers)
+    spec = _load_campaign_spec(args)
+    if args.campaign_command == "run":
+        workers = 1 if args.serial else args.workers
+        with ResultStore(args.store) as store:
+            executor = CampaignExecutor(store=store, max_workers=workers)
 
-                def progress(outcome, completed, total):
-                    condition = outcome.spec
-                    timing = ("cached" if outcome.status == "hit"
-                              else f"{outcome.elapsed_s:.2f}s")
-                    detail = (f" [{outcome.error}]"
-                              if outcome.status == "failed" else "")
-                    print(f"[{completed}/{total}] {outcome.status:<6} "
-                          f"{condition.label} @ {condition.qps:g} "
-                          f"({timing}){detail}")
+            def progress(outcome, completed, total):
+                condition = outcome.spec
+                timing = ("cached" if outcome.status == "hit"
+                          else f"{outcome.elapsed_s:.2f}s")
+                detail = (f" [{outcome.error}]"
+                          if outcome.status == "failed" else "")
+                print(f"[{completed}/{total}] {outcome.status:<6} "
+                      f"{condition.label} @ {condition.qps:g} "
+                      f"({timing}){detail}")
 
-                outcome = executor.run(spec, progress=progress)
-            print()
-            print(outcome.summary())
-            print(f"store: {args.store}")
-            return 0 if outcome.ok else 1
-        with require_store(args.store) as store:
-            if args.campaign_command == "status":
-                print(render_campaign_status(spec, store))
-                return 0
-            print(render_campaign_report(spec, store, args.metric))
+            outcome = executor.run(spec, progress=progress)
+        print()
+        print(outcome.summary())
+        print(f"store: {args.store}")
+        return 0 if outcome.ok else 1
+    with require_store(args.store) as store:
+        if args.campaign_command == "status":
+            print(render_campaign_status(spec, store))
             return 0
-    except (ReproError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(render_campaign_report(spec, store, args.metric))
+        return 0
 
 
 def _parse_param(text: str):
     """``KEY=VALUE`` -> (key, value), numbers parsed as floats."""
-    from repro.errors import ExperimentError
-
     key, sep, raw = text.partition("=")
     if not sep or not key:
         raise ExperimentError(
             f"--param expects KEY=VALUE, got {text!r}")
     try:
-        value = float(raw)
+        return key, float(raw)
     except ValueError:
-        value = raw
-    return key, value
+        return key, raw
 
 
 def _plan_campaign_spec(args: argparse.Namespace):
     """The campaign named by --spec/--preset, or an ad-hoc one."""
     from repro.campaign.spec import CampaignSpec
     from repro.config.presets import SERVER_BASELINE, knob_conditions
-    from repro.errors import ExperimentError
-    from repro.workloads.registry import find_workload
+    from repro.workloads.registry import workload_by_name
 
     if args.workload is None:
         # A dry run must never show a different campaign than the
@@ -598,291 +563,86 @@ def _plan_campaign_spec(args: argparse.Namespace):
                     f"campaign; a --spec/--preset campaign already "
                     f"defines it")
         return _load_campaign_spec(args)
-    definition = find_workload(args.workload)
-    if definition is not None and definition.qps_sweep:
-        default_sweep = definition.qps_sweep
-    elif definition is not None:
-        default_sweep = (definition.default_qps,)
-    else:
-        # Unregistered workload: building the campaign below raises
-        # the did-you-mean error; any placeholder sweep will do.
-        default_sweep = (1_000.0,)
+    definition = workload_by_name(args.workload)
     fields = {
         "name": f"{args.workload}-plan",
         "workload": args.workload,
         "conditions": (knob_conditions(args.knob)
                        if args.knob is not None
                        else {"baseline": SERVER_BASELINE}),
-        "qps_list": default_sweep,
+        "qps_list": definition.qps_sweep or (definition.default_qps,),
         "extra": dict(_parse_param(p) for p in args.param),
+        "clients": args.clients,
     }
-    if args.clients is not None:
-        try:
-            fields["clients"] = {name: client_by_name(name)
-                                 for name in args.clients}
-        except ValueError as exc:
-            raise ExperimentError(str(exc)) from None
-    if args.graph is not None:
-        # Resolve the preset now so an unknown topology fails with
-        # the registry's did-you-mean before any expansion output.
-        from repro.graph.presets import graph_preset
-        fields["graph"] = graph_preset(args.graph)
-    return CampaignSpec.from_dict({**fields, **_spec_overrides(args)})
+    return _with_plan_flags(CampaignSpec.from_dict(fields), args)
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     """Dry run: validate, expand and print -- simulate nothing."""
-    from repro.errors import ReproError
-    from repro.obs.sinks import describe_sink, validate_sink_name
-    from repro.sim.kernel import describe_engine, validate_engine_name
+    from repro.obs.sinks import describe_sink
+    from repro.sim.kernel import describe_engine
 
-    try:
-        # Validate the sink, engine, and any declared tunables first
-        # so a typo fails with the registry's did-you-mean before any
-        # campaign expansion output.
-        sink = (validate_sink_name(args.sink)
-                if args.sink is not None else None)
-        if args.engine is not None:
-            validate_engine_name(args.engine)
-        tune_space = None
-        if args.tunable:
-            from repro.tune.cli import space_from_tunable_args
-            tune_space = space_from_tunable_args(args.tunable)
-        spec = _plan_campaign_spec(args)
-        conditions = spec.expand()
-        plans = [c.plan for c in conditions]
-        if tune_space is not None:
-            # Prove the space applies to this campaign's plans (field
-            # paths, workload params, graph presets) -- still a dry
-            # run; nothing simulates.
-            tune_space.validate_against(plans[0])
-        total_runs = sum(c.runs for c in conditions)
-        total_requests = sum(c.runs * c.num_requests
-                             for c in conditions)
-        template = spec.plan
-        print(f"campaign {spec.name!r}: workload={spec.workload}, "
-              f"{len(spec.clients)} clients x "
-              f"{len(spec.conditions)} conditions x "
-              f"{len(spec.qps_list)} loads = {len(conditions)} "
-              f"experiments")
-        print(f"totals: {total_runs} runs, {total_requests} "
-              f"simulated requests")
-        extra = spec.to_dict()["extra"]
-        if extra:
-            print(f"workload parameters: {extra}")
-        if not template.cluster.is_single_server:
-            print(f"cluster topology: {template.cluster.describe()}")
-        if template.graph is not None:
-            print("service graph:")
-            for line in template.graph.describe().splitlines():
-                print(f"  {line}")
-        if template.load.arrival is not None:
-            print(f"arrival process: {template.load.arrival.describe()}")
-        if tune_space is not None:
-            print(f"tunable space ({tune_space.size()} candidates):")
-            for line in tune_space.describe().splitlines():
-                print(f"  {line}")
-        policy = plans[0].policy
-        overrides = {}
-        if sink is not None:
-            overrides["sink"] = sink
-        if args.trace:
-            overrides["trace"] = True
-        if overrides:
-            policy = replace(policy, **overrides)
-        print(f"observability: sink={policy.sink} "
-              f"({describe_sink(policy.sink)}), "
-              f"tracing={'on' if policy.trace else 'off'}"
-              + ("" if policy.observed
-                 else " -- hot path runs unobserved"))
-        print(f"engine: {policy.engine} "
-              f"({describe_engine(policy.engine)})")
-        print()
-        header = (f"{'#':>4} {'label':<16}{'qps':>10}  "
-                  f"{'seed schedule':<24}{'condition hash':<16}"
-                  f"{'plan hash':<16}")
-        print(header)
-        for index, (condition, plan) in enumerate(
-                zip(conditions, plans), start=1):
-            seeds = plan.policy.seed_schedule()
-            schedule = (f"{seeds[0]}" if len(seeds) == 1
-                        else f"{seeds[0]}..{seeds[-1]}")
-            print(f"{index:>4} {condition.label:<16}"
-                  f"{condition.qps:>10g}  {schedule:<24}"
-                  f"{condition.content_hash()[:12]:<16}"
-                  f"{plan.content_hash()[:12]:<16}")
-        print()
-        print(f"dry run: validated {len(plans)} plans; "
-              "nothing executed")
-        return 0
-    except (ReproError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    """Run one cluster experiment and summarize it per node."""
-    from repro.api import ClusterSpec, experiment
-    from repro.errors import ReproError
-    from repro.workloads.registry import workload_by_name
-
-    try:
-        definition = workload_by_name(args.workload)
-        # Validate the topology before deriving the default load from
-        # it, so a bad --nodes is reported as such.
-        cluster = ClusterSpec(nodes=args.nodes, lb_policy=args.policy,
-                              shards=args.shards, fanout=args.fanout,
-                              quorum=args.quorum,
-                              replication=args.replication)
-        qps = (args.qps if args.qps is not None
-               else definition.default_qps * cluster.nodes)
-        plan = (experiment(args.workload)
-                .client(client_by_name(args.client))
-                .load(qps=qps, num_requests=args.requests)
-                .policy(runs=args.runs, base_seed=args.seed)
-                .cluster(cluster)
-                .build())
-        result = plan.run()
-        avg = float(np.median(result.avg_samples()))
-        p99 = float(np.median(result.p99_samples()))
-        true_p99 = float(np.median(result.true_p99_samples()))
-        print(f"{args.workload} on {plan.cluster.describe()} "
-              f"@ {qps:g} QPS ({args.runs} runs x "
-              f"{args.requests} requests, seed {args.seed})")
-        print(f"plan hash: {plan.content_hash()[:12]}")
-        print(f"  median avg latency:  {avg:10.1f} us")
-        print(f"  median p99 latency:  {p99:10.1f} us")
-        print(f"  median true p99:     {true_p99:10.1f} us")
-        utils = result.mean_node_utilizations()
-        if utils:
-            print(f"  per-node utilization "
-                  f"(mean {result.mean_server_utilization():.3f}):")
-            for index, value in enumerate(utils):
-                print(f"    node {index}: {value:.3f}")
-        else:
-            print(f"  server utilization: "
-                  f"{result.mean_server_utilization():.3f}")
-        return 0
-    except (ReproError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-def _cmd_graph(args: argparse.Namespace) -> int:
-    """Run one service-graph experiment and summarize it per tier."""
-    from repro.api import ArrivalSpec, experiment
-    from repro.errors import ReproError
-
-    try:
-        arrival = None
-        if args.arrival == "diurnal":
-            arrival = ArrivalSpec(shape="diurnal",
-                                  period_us=20_000.0, amplitude=0.5)
-        elif args.arrival == "flash-crowd":
-            arrival = ArrivalSpec(shape="flash-crowd",
-                                  spike_start_us=5_000.0,
-                                  spike_duration_us=5_000.0,
-                                  spike_factor=4.0)
-        builder = (experiment(args.workload)
-                   .client(client_by_name(args.client))
-                   .graph(args.graph)
-                   .policy(runs=args.runs, base_seed=args.seed,
-                           metrics=True, engine=args.engine))
-        load_kwargs = {"num_requests": args.requests,
-                       "arrival": arrival}
-        if args.qps is not None:
-            load_kwargs["qps"] = args.qps
-        plan = builder.load(**load_kwargs).build()
-        result = plan.run()
-        avg = float(np.median(result.avg_samples()))
-        p99 = float(np.median(result.p99_samples()))
-        true_p99 = float(np.median(result.true_p99_samples()))
-        print(f"{args.workload} on service graph "
-              f"{args.graph!r} @ {plan.load.qps:g} QPS "
-              f"({args.runs} runs x {args.requests} requests, "
-              f"seed {args.seed})")
-        for line in plan.graph.describe().splitlines():
-            print(f"  {line}")
-        if arrival is not None:
-            print(f"arrival process: {arrival.describe()}")
-        print(f"plan hash: {plan.content_hash()[:12]}")
-        print(f"  median avg latency:  {avg:10.1f} us")
-        print(f"  median p99 latency:  {p99:10.1f} us")
-        print(f"  median true p99:     {true_p99:10.1f} us")
-        tier_metrics = [(name, value)
-                        for name, value in result.runs[0].obs_metrics
-                        if name.startswith(("cache.", "resilience."))]
-        if tier_metrics:
-            print(f"  tier counters (seed "
-                  f"{plan.policy.seed_schedule()[0]} run):")
-            for name, value in tier_metrics:
-                print(f"    {name:<34} {value:>12g}")
-        return 0
-    except (ReproError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    """Run one traced experiment; write the trace, print the table."""
-    from repro.api import experiment
-    from repro.errors import ReproError
-    from repro.obs.export import (
-        latency_breakdown,
-        render_breakdown_table,
-        write_chrome_trace,
-    )
-
-    try:
-        builder = (experiment(args.workload)
-                   .client(client_by_name(args.client)))
-        load_kwargs = {}
-        if args.qps is not None:
-            load_kwargs["qps"] = args.qps
-        if args.requests is not None:
-            load_kwargs["num_requests"] = args.requests
-        if load_kwargs:
-            builder = builder.load(**load_kwargs)
-        plan = (builder
-                .policy(runs=1, base_seed=args.seed, trace=True,
-                        sink=args.sink, engine=args.engine)
-                .build())
-        testbed = plan.testbed(args.seed)
-        metrics = testbed.run()
-        tracer = testbed.sim.obs.tracer
-        label = (f"{args.workload} @ {plan.load.qps:g} QPS "
-                 f"(seed {args.seed})")
-        payload = write_chrome_trace(tracer, args.output, label=label)
-        breakdown = latency_breakdown(tracer)
-        request_total = breakdown.get("request", {}).get("total_us")
-        print(f"{args.workload} @ {plan.load.qps:g} QPS, "
-              f"{plan.load.num_requests} requests, seed {args.seed}: "
-              f"{metrics.requests} measured, "
-              f"avg {metrics.avg_us:.1f} us, "
-              f"p99 {metrics.p99_us:.1f} us")
-        print(f"wrote {len(payload['traceEvents'])} trace events to "
-              f"{args.output} (load at https://ui.perfetto.dev)")
-        if tracer.dropped:
-            print(f"warning: {tracer.dropped} spans dropped at the "
-                  f"{tracer.max_spans} span cap")
-        print()
-        print(render_breakdown_table(breakdown, request_total))
-        kernel_metrics = [(name, value)
-                          for name, value in metrics.obs_metrics
-                          if name.startswith("engine.kernel.")]
-        if kernel_metrics:
-            print()
-            print("vectorized kernel engagement:")
-            for name, value in kernel_metrics:
-                print(f"  {name:<34} {value:>12g}")
-        return 0
-    except (ReproError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # Validate declared tunables and every plan flag (sink, engine,
+    # graph preset: did-you-mean on a typo) before any output.
+    tune_space = None
+    if args.tunable:
+        from repro.tune.cli import space_from_tunable_args
+        tune_space = space_from_tunable_args(args.tunable)
+    spec = _plan_campaign_spec(args)
+    conditions = spec.expand()
+    if tune_space is not None:
+        # Prove the space applies to this campaign's plans (field
+        # paths, workload params, graph presets) -- still a dry
+        # run; nothing simulates.
+        tune_space.validate_against(conditions[0].plan)
+    total_runs = sum(c.runs for c in conditions)
+    total_requests = sum(c.runs * c.num_requests for c in conditions)
+    template = spec.plan
+    print(f"campaign {spec.name!r}: workload={spec.workload}, "
+          f"{len(spec.clients)} clients x {len(spec.conditions)} "
+          f"conditions x {len(spec.qps_list)} loads = "
+          f"{len(conditions)} experiments")
+    print(f"totals: {total_runs} runs, {total_requests} simulated "
+          f"requests")
+    extra = spec.to_dict()["extra"]
+    if extra:
+        print(f"workload parameters: {extra}")
+    if not template.cluster.is_single_server:
+        print(f"cluster topology: {template.cluster.describe()}")
+    if template.graph is not None:
+        print("service graph:")
+        print(textwrap.indent(template.graph.describe(), "  "))
+    if template.load.arrival is not None:
+        print(f"arrival process: {template.load.arrival.describe()}")
+    if tune_space is not None:
+        print(f"tunable space ({tune_space.size()} candidates):")
+        print(textwrap.indent(tune_space.describe(), "  "))
+    # The template keeps the --sink/--trace preview; the conditions
+    # always run at the default observability.
+    policy = template.policy
+    print(f"observability: sink={policy.sink} "
+          f"({describe_sink(policy.sink)}), "
+          f"tracing={'on' if policy.trace else 'off'}"
+          + ("" if policy.observed
+             else " -- hot path runs unobserved"))
+    print(f"engine: {policy.engine} ({describe_engine(policy.engine)})")
+    print()
+    print(f"{'#':>4} {'label':<16}{'qps':>10}  {'seed schedule':<24}"
+          f"{'condition hash':<16}{'plan hash':<16}")
+    for index, condition in enumerate(conditions, start=1):
+        seeds = condition.plan.policy.seed_schedule()
+        schedule = (f"{seeds[0]}" if len(seeds) == 1
+                    else f"{seeds[0]}..{seeds[-1]}")
+        print(f"{index:>4} {condition.label:<16}{condition.qps:>10g}  "
+              f"{schedule:<24}{condition.content_hash()[:12]:<16}"
+              f"{condition.plan.content_hash()[:12]:<16}")
+    print()
+    print(f"dry run: validated {len(conditions)} plans; nothing executed")
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point; any library error exits 1 with one line."""
     args = _build_parser().parse_args(argv)
     handlers = {
         "run": _cmd_run,
@@ -893,11 +653,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "capacity": _cmd_capacity,
         "campaign": _cmd_campaign,
         "plan": _cmd_plan,
-        "cluster": _cmd_cluster,
-        "graph": _cmd_graph,
-        "trace": _cmd_trace,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ReproError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

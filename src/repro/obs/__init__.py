@@ -1,7 +1,7 @@
 """Observability: lifecycle tracing, metrics, and telemetry sinks.
 
-The package behind ``repro trace`` and the ``RunPolicy`` observability
-knobs.  See :mod:`repro.obs.core` for the null-object hook contract
+The package behind ``repro run --trace`` and the ``RunPolicy``
+observability knobs.  See :mod:`repro.obs.core` for the null-object hook contract
 that keeps the traced-off hot path at one attribute check per site.
 """
 

@@ -7,10 +7,10 @@ into the Chrome trace-event JSON object format, loadable in Perfetto
 process, and one named thread row per track (client, net, and each
 station/balancer/fanout).  :func:`validate_chrome_trace` checks a
 payload against the parts of the trace-event contract the viewers
-actually enforce -- the CI smoke gate for ``repro trace``.
+actually enforce -- the CI smoke gate for ``repro run --trace``.
 
 :func:`latency_breakdown` aggregates span durations per stage name,
-the per-stage table ``repro trace`` prints.
+the per-stage table ``repro run --trace`` prints.
 """
 
 from __future__ import annotations

@@ -40,6 +40,14 @@ class CheckResult:
         return f"{self.name:<28} {verdict}  {self.detail}"
 
 
+#: Anderson-Darling critical values for an exponential with estimated
+#: scale (Stephens, 1974; the table SciPy's ``anderson`` used before
+#: it switched to p-values), by significance level in percent.  The
+#: sample-size correction divides them by ``1 + 0.6 / n``.
+_AD_EXPON_CRITICAL = {15.0: 0.916, 10.0: 1.062, 5.0: 1.321,
+                      2.5: 1.591, 1.0: 1.959}
+
+
 def anderson_darling_exponential(gaps_us: Sequence[float],
                                  significance_pct: float = 5.0
                                  ) -> CheckResult:
@@ -47,25 +55,26 @@ def anderson_darling_exponential(gaps_us: Sequence[float],
 
     Args:
         gaps_us: observed gaps between consecutive sends.
-        significance_pct: significance level (scipy offers 15/10/5/2.5/1).
+        significance_pct: significance level (15/10/5/2.5/1).
     """
     array = _as_clean_array(gaps_us, 8, "Anderson-Darling")
     if np.any(array < 0):
         raise StatisticsError("gaps must be non-negative")
-    result = scipy_stats.anderson(array, dist="expon")
-    levels = list(result.significance_level)
-    if significance_pct not in levels:
+    if significance_pct not in _AD_EXPON_CRITICAL:
         raise StatisticsError(
             f"significance {significance_pct} not offered; "
-            f"choose from {levels}"
+            f"choose from {list(_AD_EXPON_CRITICAL)}"
         )
-    critical = result.critical_values[levels.index(significance_pct)]
-    passed = bool(result.statistic < critical)
+    statistic = float(scipy_stats.anderson(
+        array, dist="expon", method="interpolate").statistic)
+    critical = float(np.round(_AD_EXPON_CRITICAL[significance_pct]
+                              / (1.0 + 0.6 / array.size), 3))
+    passed = bool(statistic < critical)
     return CheckResult(
         name="anderson-darling (expon)",
         passed=passed,
-        statistic=float(result.statistic),
-        detail=(f"A2={result.statistic:.3f} vs critical "
+        statistic=statistic,
+        detail=(f"A2={statistic:.3f} vs critical "
                 f"{critical:.3f} @ {significance_pct}%"),
     )
 

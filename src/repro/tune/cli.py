@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from typing import Any, List
 
 from repro.errors import SpecValidationError
@@ -219,69 +218,64 @@ def cmd_autotune(args: argparse.Namespace) -> int:
     from repro.api import experiment
     from repro.campaign.store import ResultStore
     from repro.config.presets import client_by_name
-    from repro.errors import ReproError
     from repro.workloads.registry import workload_by_name
 
-    try:
-        if args.space:
-            with open(args.space, "r", encoding="utf-8") as handle:
-                space = SearchSpace.from_json(handle.read())
-        else:
-            space = space_from_tunable_args(args.tunable or [])
-        definition = workload_by_name(args.workload)
-        qps_list = tuple(
-            args.qps if args.qps is not None
-            else (definition.qps_sweep or (definition.default_qps,)))
-        objective = CapacityObjective(
-            qps_list=qps_list, qos_target_us=args.qos_p99,
-            metric=args.metric)
-        plan = (experiment(args.workload)
-                .client(client_by_name(args.client))
-                .build())
-        driver = _make_driver(args)
-        max_workers = 1 if args.serial else args.workers
+    if args.space:
+        with open(args.space, "r", encoding="utf-8") as handle:
+            space = SearchSpace.from_json(handle.read())
+    else:
+        space = space_from_tunable_args(args.tunable or [])
+    definition = workload_by_name(args.workload)
+    qps_list = tuple(
+        args.qps if args.qps is not None
+        else (definition.qps_sweep or (definition.default_qps,)))
+    objective = CapacityObjective(
+        qps_list=qps_list, qos_target_us=args.qos_p99,
+        metric=args.metric)
+    plan = (experiment(args.workload)
+            .client(client_by_name(args.client))
+            .build())
+    driver = _make_driver(args)
+    max_workers = 1 if args.serial else args.workers
 
-        def progress(outcome: Any, completed: int, total: int) -> None:
-            if args.quiet:
-                return
-            condition = outcome.spec
-            timing = ("cached" if outcome.status == "hit"
-                      else f"{outcome.elapsed_s:.2f}s")
-            detail = (f" [{outcome.error}]"
-                      if outcome.status == "failed" else "")
-            print(f"[{completed}/{total}] {outcome.status:<6} "
-                  f"{condition.plan.hardware.server_label} @ "
-                  f"{condition.qps:g} ({timing}){detail}")
+    def progress(outcome: Any, completed: int, total: int) -> None:
+        if args.quiet:
+            return
+        condition = outcome.spec
+        timing = ("cached" if outcome.status == "hit"
+                  else f"{outcome.elapsed_s:.2f}s")
+        detail = (f" [{outcome.error}]"
+                  if outcome.status == "failed" else "")
+        print(f"[{completed}/{total}] {outcome.status:<6} "
+              f"{condition.plan.hardware.server_label} @ "
+              f"{condition.qps:g} ({timing}){detail}")
 
-        if args.no_store:
+    if args.no_store:
+        evaluator = CandidateEvaluator(
+            plan, space, objective, runs=args.runs,
+            base_seed=args.seed, store=None,
+            max_workers=max_workers)
+        result = driver.run(evaluator, progress=progress)
+    else:
+        with ResultStore(args.store) as store:
             evaluator = CandidateEvaluator(
                 plan, space, objective, runs=args.runs,
-                base_seed=args.seed, store=None,
+                base_seed=args.seed, store=store,
                 max_workers=max_workers)
             result = driver.run(evaluator, progress=progress)
-        else:
-            with ResultStore(args.store) as store:
-                evaluator = CandidateEvaluator(
-                    plan, space, objective, runs=args.runs,
-                    base_seed=args.seed, store=store,
-                    max_workers=max_workers)
-                result = driver.run(evaluator, progress=progress)
-        if not args.quiet:
-            print()
-        print(render_tune_report(result))
+    if not args.quiet:
         print()
-        print(result.summary())
-        if not args.no_store:
-            print(f"store: {args.store}")
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(tune_report_dict(result), handle, indent=2,
-                          sort_keys=True)
-            print(f"report json: {args.json}")
-        return 0 if result.best is not None else 1
-    except (ReproError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    print(render_tune_report(result))
+    print()
+    print(result.summary())
+    if not args.no_store:
+        print(f"store: {args.store}")
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as handle:
+            json.dump(tune_report_dict(result), handle, indent=2,
+                      sort_keys=True)
+        print(f"report json: {args.json}")
+    return 0 if result.best is not None else 1
 
 
 __all__ = ["add_autotune_parser", "cmd_autotune",

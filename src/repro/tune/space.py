@@ -3,9 +3,10 @@
 A :class:`SearchSpace` composes :class:`~repro.tune.tunables.Tunable`
 definitions into the candidate grid a search driver walks.  The space
 is pure data -- JSON round-trip, stable content hash -- and the only
-way values reach a plan is :meth:`SearchSpace.apply`, which performs
-section-level dict surgery on ``plan.to_dict()`` and rebuilds through
-:meth:`ExperimentPlan.from_dict`, so every candidate is re-validated
+way values reach a plan is :meth:`SearchSpace.apply`, which writes
+them through :meth:`ExperimentPlan.with_fields` (dict surgery on
+``plan.to_dict()``, rebuilt through
+:meth:`ExperimentPlan.from_dict`), so every candidate is re-validated
 by the same spec layer that guards hand-written plans (unknown
 workload params, bad engine names, graph/cluster exclusivity all fail
 with the plan layer's own errors before anything simulates).
@@ -102,11 +103,9 @@ class SearchSpace:
         validation runs on every candidate.
         """
         self.validate_assignment(assignment)
-        data = plan.to_dict()
-        for tunable in self.tunables:
-            _set_plan_field(data, plan, tunable.field,
-                            thaw(assignment[tunable.name]))
-        return ExperimentPlan.from_dict(data)
+        return plan.with_fields({
+            tunable.field: thaw(assignment[tunable.name])
+            for tunable in self.tunables})
 
     def validate_against(self, plan: ExperimentPlan) -> None:
         """Prove the space is applicable to *plan* before any search.
@@ -167,37 +166,3 @@ class SearchSpace:
         lines.append(f"grid: {self.size()} candidates")
         return "\n".join(lines)
 
-
-def _set_plan_field(data: Dict[str, Any], plan: ExperimentPlan,
-                    field: str, value: Any) -> None:
-    """Write one tunable value into a plan dict, in place.
-
-    The dict is ``plan.to_dict()``, which omits default sections
-    (single-server cluster, default policy knobs) -- absent sections
-    are materialized before patching so the write always lands.
-    """
-    if field == "graph":
-        if isinstance(value, str):
-            from repro.graph.presets import graph_preset
-            value = graph_preset(value).to_dict()
-        data["graph"] = value
-        # A graph candidate carries its own topology; the plan layer
-        # rejects graph + non-default cluster.
-        data.pop("cluster", None)
-        return
-    section, _, rest = field.partition(".")
-    if section == "workload":
-        data["workload"].setdefault("params", {})[rest] = value
-    elif section == "hardware":
-        target, _, knob = rest.partition(".")
-        config = dict(data["hardware"][target])
-        config[knob] = value
-        data["hardware"][target] = config
-    elif section == "policy":
-        data.setdefault("policy", {})[rest] = value
-    elif section == "cluster":
-        cluster = data.setdefault("cluster", plan.cluster.to_dict())
-        cluster[rest] = value
-    else:  # pragma: no cover -- validate_field guarantees the sections
-        raise SpecValidationError(
-            f"unroutable tunable field {field!r}")

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -352,6 +353,50 @@ class TestFluentBuilder:
     def test_top_level_reexports(self):
         assert repro.experiment is experiment
         assert repro.ExperimentPlan is ExperimentPlan
+
+
+class TestWithFields:
+    """``ExperimentPlan.with_fields``: dotted-path writes equal the
+    matching fluent copies, and every value is validated."""
+
+    def test_each_section_matches_its_fluent_copy(self):
+        base = small_plan()
+        cases = [
+            ({"load.num_requests": 40, "load.arrival": "poisson"},
+             base.with_load(num_requests=40)),
+            ({"hardware.client": "HP"}, base.with_client(HP_CLIENT)),
+            ({"hardware.server.smt": True},
+             base.with_server(replace(SERVER_BASELINE, smt=True))),
+            ({"policy.engine": "vectorized", "policy.runs": 3},
+             base.with_policy(engine="vectorized", runs=3)),
+            ({"cluster.nodes": 2, "cluster.lb_policy": "random"},
+             base.with_cluster(nodes=2, lb_policy="random")),
+            ({"graph": "memcached-cached"},
+             base.with_graph("memcached-cached")),
+        ]
+        for fields, expected in cases:
+            plan = base.with_fields(fields)
+            assert plan == expected, fields
+            assert plan.content_hash() == expected.content_hash()
+
+    def test_whole_client_config_relabels(self):
+        plan = small_plan().with_fields({"hardware.client": "HP"})
+        assert plan.hardware.client_label == HP_CLIENT.name
+
+    def test_graph_then_cluster_is_rejected(self):
+        with pytest.raises(SpecValidationError, match="graph"):
+            small_plan().with_fields({"graph": "memcached-cached",
+                                      "cluster.nodes": 2})
+
+    @pytest.mark.parametrize("fields", [
+        {"policy.engine": "vectorised"},
+        {"cluster.fanout": 3},
+        {"load.qps": -1.0},
+        {"nonsense.field": 1},
+    ])
+    def test_invalid_values_fail_in_the_spec_layer(self, fields):
+        with pytest.raises(SpecValidationError):
+            small_plan().with_fields(fields)
 
 
 class TestVariants:

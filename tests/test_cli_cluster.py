@@ -1,4 +1,4 @@
-"""The ``repro cluster`` subcommand and cluster campaign plumbing."""
+"""``repro run`` on cluster topologies, and cluster campaign plumbing."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.cli import main as cli_main
 class TestClusterCommand:
     def test_runs_and_reports_per_node_utilization(self, capsys):
         exit_code = cli_main([
-            "cluster", "--workload", "memcached",
+            "run", "--workload", "memcached",
             "--nodes", "4", "--policy", "power-of-two",
             "--runs", "2", "--requests", "120",
             "--qps", "200000", "--seed", "3"])
@@ -22,7 +22,7 @@ class TestClusterCommand:
 
     def test_default_qps_scales_with_nodes(self, capsys):
         exit_code = cli_main([
-            "cluster", "--workload", "synthetic",
+            "run", "--workload", "synthetic",
             "--nodes", "2", "--policy", "round-robin",
             "--runs", "1", "--requests", "60"])
         out = capsys.readouterr().out
@@ -32,7 +32,7 @@ class TestClusterCommand:
 
     def test_sharded_topology_runs(self, capsys):
         exit_code = cli_main([
-            "cluster", "--workload", "hdsearch",
+            "run", "--workload", "hdsearch",
             "--nodes", "1", "--shards", "4", "--fanout", "2",
             "--quorum", "1", "--runs", "1", "--requests", "60",
             "--qps", "1000"])
@@ -42,7 +42,7 @@ class TestClusterCommand:
 
     def test_unknown_workload_fails_cleanly(self, capsys):
         exit_code = cli_main([
-            "cluster", "--workload", "memcachex",
+            "run", "--workload", "memcachex",
             "--runs", "1", "--requests", "30"])
         err = capsys.readouterr().err
         assert exit_code == 1
@@ -58,14 +58,14 @@ class TestClusterCommand:
         ]
         for flags, named in cases:
             exit_code = cli_main([
-                "cluster", "--workload", "memcached", *flags,
+                "run", "--workload", "memcached", *flags,
                 "--runs", "1", "--requests", "30"])
             err = capsys.readouterr().err
             assert exit_code == 1, flags
             assert named in err, (flags, err)
 
     def test_deterministic_across_invocations(self, capsys):
-        argv = ["cluster", "--workload", "memcached", "--nodes", "2",
+        argv = ["run", "--workload", "memcached", "--nodes", "2",
                 "--policy", "random", "--runs", "1",
                 "--requests", "80", "--qps", "100000"]
         assert cli_main(argv) == 0

@@ -3,7 +3,7 @@
 Pinned so a refactor of the command-line layer provably changes no
 experiment: the dry-run listing of every campaign preset, the full
 ``repro run`` summary (single process and sharded), the plan hash of
-every cluster and service-graph invocation in the CLI tests, and the
+every cluster and service-graph run in the CLI tests, and the
 Chrome trace a traced run writes.
 """
 
@@ -61,34 +61,35 @@ plan hash: 94e26aab4b17
 
 #: The plan hash every cluster / service-graph invocation prints.
 PLAN_HASHES = [
-    (["cluster", "--workload", "memcached", "--nodes", "4",
+    (["run", "--workload", "memcached", "--nodes", "4",
       "--policy", "power-of-two", "--runs", "2", "--requests", "120",
       "--qps", "200000", "--seed", "3"], "8ab3de970757"),
-    (["cluster", "--workload", "synthetic", "--nodes", "2",
+    (["run", "--workload", "synthetic", "--nodes", "2",
       "--policy", "round-robin", "--runs", "1", "--requests", "60"],
      "3c208f538d07"),
-    (["cluster", "--workload", "hdsearch", "--nodes", "1",
+    (["run", "--workload", "hdsearch", "--nodes", "1",
       "--shards", "4", "--fanout", "2", "--quorum", "1", "--runs", "1",
       "--requests", "60", "--qps", "1000"], "fe2ae858d742"),
-    (["cluster", "--workload", "memcached", "--nodes", "2",
+    (["run", "--workload", "memcached", "--nodes", "2",
       "--policy", "random", "--runs", "1", "--requests", "80",
       "--qps", "100000"], "d1233ebb6667"),
-    (["graph", "--workload", "memcached", "--graph", "memcached-cached",
+    (["run", "--workload", "memcached", "--graph", "memcached-cached",
       "--runs", "2", "--requests", "150", "--qps", "50000",
       "--seed", "3"], "f418380bfae6"),
-    (["graph", "--graph", "memcached-cached", "--arrival", "diurnal",
+    (["run", "--graph", "memcached-cached", "--arrival", "diurnal",
       "--runs", "1", "--requests", "80", "--qps", "50000"],
      "c82dd5589036"),
-    (["graph", "--workload", "hdsearch", "--graph", "hdsearch-graph",
+    (["run", "--workload", "hdsearch", "--graph", "hdsearch-graph",
       "--runs", "1", "--requests", "60", "--qps", "1000"],
      "8f1247273a5a"),
-    (["graph", "--graph", "memcached-cached", "--engine", "vectorized",
+    (["run", "--graph", "memcached-cached", "--engine", "vectorized",
       "--runs", "1", "--requests", "80", "--qps", "50000"],
      "b252d72e7ff5"),
 ]
 
-TRACE_ARGS = ["trace", "--workload", "memcached", "--qps", "50000",
-              "--requests", "300", "--seed", "5"]
+TRACE_ARGS = ["run", "--workload", "memcached", "--qps", "50000",
+              "--requests", "300", "--seed", "5", "--trace",
+              "--runs", "1"]
 
 TRACE_SHA256 = (
     "f14589152ce724d10df2737334507457e96756ac727345d5a6c09ffd97ad113e")

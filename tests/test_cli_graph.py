@@ -1,4 +1,4 @@
-"""The ``repro graph`` subcommand and graph plan printing."""
+"""``repro run`` on service-graph topologies, and graph plan printing."""
 
 from repro.cli import main as cli_main
 
@@ -6,7 +6,7 @@ from repro.cli import main as cli_main
 class TestGraphCommand:
     def test_runs_and_reports_tier_counters(self, capsys):
         exit_code = cli_main([
-            "graph", "--workload", "memcached",
+            "run", "--workload", "memcached",
             "--graph", "memcached-cached",
             "--runs", "2", "--requests", "150",
             "--qps", "50000", "--seed", "3"])
@@ -20,7 +20,7 @@ class TestGraphCommand:
 
     def test_diurnal_arrival_is_reported(self, capsys):
         exit_code = cli_main([
-            "graph", "--graph", "memcached-cached",
+            "run", "--graph", "memcached-cached",
             "--arrival", "diurnal",
             "--runs", "1", "--requests", "80", "--qps", "50000"])
         out = capsys.readouterr().out
@@ -29,7 +29,7 @@ class TestGraphCommand:
 
     def test_hdsearch_graph_preset_runs(self, capsys):
         exit_code = cli_main([
-            "graph", "--workload", "hdsearch",
+            "run", "--workload", "hdsearch",
             "--graph", "hdsearch-graph",
             "--runs", "1", "--requests", "60", "--qps", "1000"])
         out = capsys.readouterr().out
@@ -38,7 +38,7 @@ class TestGraphCommand:
 
     def test_unknown_preset_fails_with_did_you_mean(self, capsys):
         exit_code = cli_main([
-            "graph", "--graph", "memcached-cachd",
+            "run", "--graph", "memcached-cachd",
             "--runs", "1", "--requests", "30"])
         err = capsys.readouterr().err
         assert exit_code == 1
@@ -46,7 +46,7 @@ class TestGraphCommand:
 
     def test_vectorized_engine_accepted(self, capsys):
         exit_code = cli_main([
-            "graph", "--graph", "memcached-cached",
+            "run", "--graph", "memcached-cached",
             "--engine", "vectorized",
             "--runs", "1", "--requests", "80", "--qps", "50000"])
         assert exit_code == 0

@@ -1,6 +1,8 @@
 """End-to-end tests for the ``capacity`` and ``tune --apply`` CLI
 handlers, plus the ``--seed`` threading added with the campaign PR."""
 
+import pytest
+
 from repro.cli import main as cli_main
 
 #: A tiny capacity grid: two load points, two runs, generous QoS so
@@ -87,3 +89,50 @@ class TestStudySeed:
         unseeded = capsys.readouterr().out
         assert seeded.splitlines()[0] == unseeded.splitlines()[0]
         assert seeded != unseeded
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("argv", [["tune", "--config", "XX"],
+                                      ["recommend", "--target", "XX"]])
+    def test_unknown_preset_exits_1_with_one_line(self, argv, capsys):
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: unknown client preset 'XX'; "
+                                "expected one of ['HP', 'LP']\n")
+
+
+class TestPlanFlags:
+    #: One non-default value per plan-mapped flag.
+    SAMPLES = {
+        "hardware.client": "HP", "load.qps": 5e4,
+        "load.num_requests": 10, "load.arrival": "diurnal",
+        "policy.runs": 2, "policy.base_seed": 1,
+        "policy.sink": "streaming", "policy.trace": True,
+        "policy.engine": "vectorized", "policy.workers": 2,
+        "graph": "memcached-cached", "cluster.nodes": 3,
+        "cluster.lb_policy": "random", "cluster.shards": 2,
+        "cluster.fanout": 2, "cluster.quorum": 1,
+        "cluster.replication": 2,
+    }
+
+    def test_every_row_sets_its_plan_field(self):
+        from repro.api import experiment
+        from repro.cli import ARRIVAL_SHAPES, PLAN_FLAGS
+
+        paths = [path for _, path, _, _ in PLAN_FLAGS]
+        assert len(set(paths)) == len(paths)
+        assert set(paths) == set(self.SAMPLES) | {"workload"}
+        base = experiment("memcached").build().with_cluster(
+            nodes=2, shards=4)
+        for path, value in self.SAMPLES.items():
+            if path == "load.arrival":
+                value = ARRIVAL_SHAPES[value]
+            changed = base.with_fields({path: value})
+            assert changed.content_hash() != base.content_hash(), path
+
+    def test_run_topologies_default_to_the_workload_request_count(
+            self, capsys):
+        assert cli_main(["run", "--workload", "synthetic", "--nodes", "2",
+                         "--runs", "1"]) == 0
+        assert "(1 runs x 2000 requests" in capsys.readouterr().out

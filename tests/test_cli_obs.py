@@ -1,5 +1,5 @@
 """End-to-end tests for the observability CLI surface:
-``repro trace``, the ``repro plan`` sink/tracer preview, and the
+``repro run --trace``, the ``repro plan`` sink/tracer preview, and the
 campaign timing readout."""
 
 import json
@@ -36,7 +36,8 @@ def store_path(tmp_path):
 class TestTraceCommand:
     def test_writes_valid_chrome_trace(self, tmp_path, capsys):
         out_path = tmp_path / "trace.json"
-        assert cli_main(["trace", "--workload", "memcached",
+        assert cli_main(["run", "--trace", "--runs", "1",
+                         "--workload", "memcached",
                          "--qps", "50000", "--requests", "300",
                          "--seed", "5", "--output",
                          str(out_path)]) == 0
@@ -50,7 +51,8 @@ class TestTraceCommand:
 
     def test_streaming_sink_flag(self, tmp_path, capsys):
         out_path = tmp_path / "trace.json"
-        assert cli_main(["trace", "--workload", "memcached",
+        assert cli_main(["run", "--trace", "--runs", "1",
+                         "--workload", "memcached",
                          "--qps", "50000", "--requests", "300",
                          "--sink", "streaming", "--output",
                          str(out_path)]) == 0
@@ -58,7 +60,8 @@ class TestTraceCommand:
 
     def test_unknown_sink_fails_with_suggestion(self, tmp_path,
                                                 capsys):
-        assert cli_main(["trace", "--workload", "memcached",
+        assert cli_main(["run", "--trace", "--runs", "1",
+                         "--workload", "memcached",
                          "--requests", "100", "--sink", "streamin",
                          "--output",
                          str(tmp_path / "t.json")]) == 1

@@ -133,3 +133,15 @@ def test_anderson_darling_verdicts_are_pinned(make_gaps, significance,
         make_gaps(), significance_pct=significance)
     assert result.passed is passed
     assert result.detail == detail
+
+
+def test_anderson_darling_raises_no_future_warning():
+    """The check must keep working once SciPy drops the critical-value
+    attributes of ``anderson`` (deprecated with a FutureWarning)."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FutureWarning)
+        result = anderson_darling_exponential(
+            np.random.default_rng(1).exponential(10.0, 500))
+    assert result.passed
