@@ -80,8 +80,7 @@ def _arrival(name: str) -> Optional[Dict[str, Any]]:
 PLAN_FLAGS = (
     ("--workload", "workload", str, "registered workload name"),
     ("--client", "hardware.client", str, "client preset (LP or HP)"),
-    ("--qps", "load.qps", float, "offered load(s) (run default: the "
-     "workload's, times --nodes)"),
+    ("--qps", "load.qps", float, "offered load, or the load sweep"),
     ("--requests", "load.num_requests", int, "requests per run"),
     ("--arrival", "load.arrival", _arrival,
      "poisson (default), diurnal or flash-crowd"),
@@ -125,6 +124,8 @@ def _add_plan_flags(parser, *flags: str, sweep: bool = False,
         shape = (dict(action="store_true") if kind is bool else dict(
             type=kind, metavar=flag[2:].upper(),
             nargs="+" if sweep and flag == "--qps" else None))
+        if flag in defaults:
+            help_text += " (default: %(default)s)"
         parser.add_argument(flag, dest=path, default=defaults.get(flag),
                             help=help_text, **shape)
 
@@ -145,7 +146,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = commands.add_parser(
         "run", help="run one experiment on one server, a cluster or a "
-                    "service graph, optionally traced or sharded")
+                    "service graph, optionally traced or sharded",
+        description="Unset flags keep the workload's defaults; the "
+                    "default load is the workload's times --nodes.")
     _add_plan_flags(run, *(row[0] for row in PLAN_FLAGS), defaults={
         "--workload": "memcached", "--client": "LP", "--runs": 5,
         "--policy": "power-of-two"})
