@@ -49,9 +49,29 @@ from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
+from repro.analysis.figures import (
+    hdsearch_study,
+    memcached_study,
+    render_latency_series,
+    render_ratio_series,
+    socialnetwork_study,
+)
 from repro.cluster.spec import LB_POLICIES
 from repro.config.presets import client_by_name
+from repro.core.provisioning import (
+    capacity_under_qos,
+    provisioning_error,
+    provisioning_plan,
+)
+from repro.core.recommendations import recommend
 from repro.errors import ExperimentError, ReproError
+from repro.host.filesystem import (
+    FakeFilesystem,
+    RealFilesystem,
+    make_skylake_tree,
+)
+from repro.host.tuner import HostTuner
+from repro.loadgen.base import GeneratorDesign
 
 #: ``--arrival`` shapes, as :class:`~repro.api.ArrivalSpec` dicts.
 ARRIVAL_SHAPES: Dict[str, Optional[Dict[str, Any]]] = {
@@ -103,10 +123,6 @@ PLAN_FLAGS = (
      "request (0 = fanout)"),
     ("--replication", "cluster.replication", int, "replicas per shard"),
 )
-
-
-#: Latency metrics a rendered series can show.
-METRICS = ["avg", "p99", "true_avg", "stdev_avg"]
 
 
 def _add_plan_flags(parser, *flags: str, sweep: bool = False,
@@ -165,17 +181,24 @@ def _build_parser() -> argparse.ArgumentParser:
                         "--workload": "memcached", "--runs": 10,
                         "--qps": [10_000, 100_000, 500_000],
                         "--requests": 500, "--seed": 0})
-    study.add_argument("--knob", default="smt", choices=["smt", "c1e"],
+    study.add_argument("--knob", default="smt",
+                       choices=["smt", "c1e"],
                        help="server-side knob under study")
-    study.add_argument("--metric", default="avg", choices=METRICS)
+    study.add_argument("--metric", default="avg",
+                       choices=["avg", "p99", "true_avg", "stdev_avg"])
 
-    about_tune = ("plan (and optionally apply) the paper's measurement "
-                  "host configuration on /sys; to *search* the "
-                  "simulated policy space for a max-capacity "
-                  "configuration instead, see 'repro autotune'")
-    tune = commands.add_parser("tune", help=about_tune,
-                               description=about_tune)
-    tune.add_argument("--config", default="HP", help="LP or HP")
+    tune = commands.add_parser(
+        "tune",
+        help="plan/apply a host configuration (the measurement-"
+             "config advisor; for the capacity optimizer see "
+             "'repro autotune')",
+        description="Plan (and optionally apply) the paper's "
+                    "measurement host configuration on /sys.  To "
+                    "*search* the simulated policy space for a "
+                    "max-capacity configuration instead, see "
+                    "'repro autotune'.")
+    tune.add_argument("--config", default="HP",
+                      help="LP or HP")
     tune.add_argument("--real", action="store_true",
                       help="operate on the live /sys and /dev/cpu "
                            "(requires root) instead of a fake host")
@@ -229,29 +252,36 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--serial", action="store_true",
                 help="run inline in this process")
         if verb == "report":
-            sub.add_argument("--metric", default="avg", choices=METRICS)
+            sub.add_argument("--metric", default="avg",
+                             choices=["avg", "p99", "true_avg",
+                                      "stdev_avg"])
 
     plan = commands.add_parser(
         "plan", help="validate + expand a campaign without running "
                      "(dry run)")
     # --workload: an ad-hoc campaign instead of --spec/--preset.
     _add_plan_flags(_add_campaign_source(plan), "--workload")
-    plan.add_argument("--knob", default=None, choices=["smt", "c1e"],
+    plan.add_argument("--knob", default=None,
+                      choices=["smt", "c1e"],
                       help="server knob for an ad-hoc --workload "
                            "campaign (default: baseline server only)")
     plan.add_argument("--clients", nargs="+", default=None,
-                      metavar="NAME", help="client presets for an "
-                                           "ad-hoc campaign (LP HP)")
+                      metavar="NAME",
+                      help="client presets for an ad-hoc campaign "
+                           "(default: LP HP)")
     plan.add_argument("--param", action="append", default=[],
-                      metavar="KEY=VALUE", help="workload parameter, "
-                      "e.g. added_delay_us=200 (repeatable)")
+                      metavar="KEY=VALUE",
+                      help="workload parameter, e.g. "
+                           "added_delay_us=200 (repeatable)")
     _add_plan_flags(plan, "--qps", "--runs", "--requests", "--seed",
                     "--sink", "--trace", "--engine", "--graph",
                     sweep=True)
     plan.add_argument("--tunable", action="append", default=None,
                       metavar="FIELD=SPEC",
                       help="validate an autotune tunable against the "
-                           "campaign's plans (repeatable; see "
+                           "campaign's plans (repeatable; unknown "
+                           "fields fail with a did-you-mean before "
+                           "anything executes -- see "
                            "'repro autotune')")
     return parser
 
@@ -373,40 +403,33 @@ def _print_counters(title: str, metrics, prefixes, indent: str) -> None:
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
-    from repro.analysis import figures
-
     plan = _plan_overrides(args)
     sweep = dict(qps_list=plan["load.qps"], runs=plan["policy.runs"],
                  num_requests=plan["load.num_requests"],
                  base_seed=plan["policy.base_seed"])
     builders = {
-        "memcached": lambda: figures.memcached_study(
-            knob=args.knob, **sweep),
-        "hdsearch": lambda: figures.hdsearch_study(
-            knob=args.knob, **sweep),
-        "socialnetwork": lambda: figures.socialnetwork_study(**sweep),
+        "memcached": lambda: memcached_study(knob=args.knob, **sweep),
+        "hdsearch": lambda: hdsearch_study(knob=args.knob, **sweep),
+        "socialnetwork": lambda: socialnetwork_study(**sweep),
     }
     if plan["workload"] not in builders:
         raise ExperimentError(
             f"no study for workload {plan['workload']!r}; choose from "
             f"{', '.join(builders)}")
     grid = builders[plan["workload"]]()
-    print(figures.render_latency_series(grid, args.metric))
+    print(render_latency_series(grid, args.metric))
     conditions = list(grid.conditions)
     if len(conditions) == 2:
         print()
-        print(figures.render_ratio_series(
+        print(render_ratio_series(
             grid, conditions[0], conditions[1], "avg"))
     return 0
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro.host import filesystem
-    from repro.host.tuner import HostTuner
-
     config = client_by_name(args.config)
-    fs = (filesystem.RealFilesystem() if args.real else
-          filesystem.FakeFilesystem(filesystem.make_skylake_tree()))
+    fs = RealFilesystem() if args.real else FakeFilesystem(
+        make_skylake_tree())
     tuner = HostTuner(fs)
     plan = tuner.plan(config)
     print(plan.render())
@@ -429,9 +452,6 @@ def _cmd_autotune(args: argparse.Namespace) -> int:
 
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
-    from repro.core.recommendations import recommend
-    from repro.loadgen.base import GeneratorDesign
-
     design = GeneratorDesign(
         loop=args.loop,
         time_sensitive=args.interarrival == "block-wait")
@@ -446,7 +466,6 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
     from repro.api import experiment
-    from repro.core import provisioning
 
     overrides = _plan_overrides(args)
     sweep = overrides.pop("load.qps")
@@ -457,9 +476,11 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
         latency_by_qps = {}
         for qps in sweep:
             result = base_plan.with_qps(qps).run()
-            latency_by_qps[qps] = float(np.median(result.p99_samples()))
-        capacity = observers[name] = provisioning.capacity_under_qos(
+            latency_by_qps[qps] = float(
+                np.median(result.p99_samples()))
+        observers[name] = capacity_under_qos(
             latency_by_qps, args.qos_p99, metric="p99")
+        capacity = observers[name]
         print(f"{name}: capacity {capacity.capacity_qps:g} QPS under "
               f"p99 <= {args.qos_p99:g} us"
               + (" (sweep-limited)" if capacity.sweep_limited else ""))
@@ -467,11 +488,10 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     usable = {name: cap for name, cap in observers.items()
               if cap.capacity_qps > 0}
     if len(usable) >= 2:
-        ratios = provisioning.provisioning_error(usable, args.target_qps)
+        ratios = provisioning_error(usable, args.target_qps)
         print(f"\nFleet sizes for {args.target_qps:g} QPS:")
         for name, capacity in usable.items():
-            plan = provisioning.provisioning_plan(args.target_qps,
-                                                  capacity)
+            plan = provisioning_plan(args.target_qps, capacity)
             print(f"  {name}: {plan.machines} machines "
                   f"({ratios[name]:.2f}x the optimistic observer)")
     return 0
@@ -479,10 +499,13 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
 
 def _with_plan_flags(spec, args: argparse.Namespace):
     """*spec* with the plan flags applied: ``--qps`` replaces the load
-    sweep, every other flag sets its field of the template plan."""
+    sweep (and the template's load, which is the sweep's first point),
+    every other flag sets its field of the template plan."""
     overrides = _plan_overrides(args)
     overrides.pop("workload", None)
-    qps_list = overrides.pop("load.qps", None) or spec.qps_list
+    qps_list = overrides.get("load.qps") or spec.qps_list
+    if "load.qps" in overrides:
+        overrides["load.qps"] = qps_list[0]
     return replace(spec, plan=spec.plan.with_fields(overrides),
                    qps_list=qps_list)
 
@@ -541,9 +564,10 @@ def _parse_param(text: str):
         raise ExperimentError(
             f"--param expects KEY=VALUE, got {text!r}")
     try:
-        return key, float(raw)
+        value = float(raw)
     except ValueError:
-        return key, raw
+        value = raw
+    return key, value
 
 
 def _plan_campaign_spec(args: argparse.Namespace):

@@ -41,11 +41,28 @@ class CheckResult:
 
 
 #: Anderson-Darling critical values for an exponential with estimated
-#: scale (Stephens, 1974; the table SciPy's ``anderson`` used before
-#: it switched to p-values), by significance level in percent.  The
+#: scale (Stephens, 1974; the table older SciPy releases returned from
+#: ``anderson``), by significance level in percent.  The
 #: sample-size correction divides them by ``1 + 0.6 / n``.
 _AD_EXPON_CRITICAL = {15.0: 0.916, 10.0: 1.062, 5.0: 1.321,
                       2.5: 1.591, 1.0: 1.959}
+
+
+def _anderson_darling_expon_statistic(array: np.ndarray) -> float:
+    """A^2 of ``array`` against an exponential with scale = its mean.
+
+    The same statistic as ``scipy.stats.anderson(x, "expon")``,
+    computed here so the verdict does not depend on which SciPy
+    release is installed.  A zero gap drives A^2 to infinity and all-zero
+    gaps to NaN; both fail.
+    """
+    n = array.size
+    weights = (2.0 * np.arange(1, n + 1) - 1.0) / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.sort(array) / float(np.mean(array))
+        log_cdf = np.log(-np.expm1(-w))
+    log_sf = -w
+    return float(-n - np.sum(weights * (log_cdf + log_sf[::-1])))
 
 
 def anderson_darling_exponential(gaps_us: Sequence[float],
@@ -65,8 +82,7 @@ def anderson_darling_exponential(gaps_us: Sequence[float],
             f"significance {significance_pct} not offered; "
             f"choose from {list(_AD_EXPON_CRITICAL)}"
         )
-    statistic = float(scipy_stats.anderson(
-        array, dist="expon", method="interpolate").statistic)
+    statistic = _anderson_darling_expon_statistic(array)
     critical = float(np.round(_AD_EXPON_CRITICAL[significance_pct]
                               / (1.0 + 0.6 / array.size), 3))
     passed = bool(statistic < critical)

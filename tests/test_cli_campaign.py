@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
+from repro.cli import _build_parser, _load_campaign_spec
 from repro.cli import main as cli_main
 from repro.workloads.registry import register_workload, workload_by_name
 
@@ -70,11 +72,17 @@ class TestCampaignRun:
         assert "4 executed" in capsys.readouterr().out
 
     def test_preset_with_overrides(self, store_path, capsys):
-        assert cli_main([
-            "campaign", "run", "--preset", "memcached-smt",
-            "--qps", "10000", "--runs", "2", "--requests", "60",
-            "--seed", "3", "--store", store_path, "--serial"]) == 0
+        argv = ["campaign", "run", "--preset", "memcached-smt",
+                "--qps", "10000", "--runs", "2", "--requests", "60",
+                "--seed", "3", "--store", store_path, "--serial"]
+        assert cli_main(argv) == 0
         assert "2 conditions" not in capsys.readouterr().out  # 2x2x1=4
+        # The overridden spec still equals its own file form: the
+        # template's load follows the new sweep's first point.
+        spec = _load_campaign_spec(_build_parser().parse_args(argv))
+        assert spec.qps_list == (10_000.0,)
+        assert spec.plan.load.qps == 10_000.0
+        assert CampaignSpec.from_dict(spec.to_dict()) == spec
 
     def test_unknown_preset_fails_cleanly(self, store_path, capsys):
         assert cli_main(["campaign", "run", "--preset", "nope",

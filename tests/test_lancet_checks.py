@@ -136,8 +136,8 @@ def test_anderson_darling_verdicts_are_pinned(make_gaps, significance,
 
 
 def test_anderson_darling_raises_no_future_warning():
-    """The check must keep working once SciPy drops the critical-value
-    attributes of ``anderson`` (deprecated with a FutureWarning)."""
+    """The check must not depend on the critical-value attributes of
+    ``scipy.stats.anderson`` (deprecated with a FutureWarning)."""
     import warnings
 
     with warnings.catch_warnings():
@@ -145,3 +145,14 @@ def test_anderson_darling_raises_no_future_warning():
         result = anderson_darling_exponential(
             np.random.default_rng(1).exponential(10.0, 500))
     assert result.passed
+
+
+def test_anderson_darling_zero_gaps_fail_without_warning():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one_zero = anderson_darling_exponential([0.0] + [1.0] * 20)
+        all_zero = anderson_darling_exponential([0.0] * 20)
+    assert not one_zero.passed and one_zero.statistic == float("inf")
+    assert not all_zero.passed
